@@ -86,9 +86,11 @@ StragglerReport StragglerIdentifier::resource_based(fl::Fleet& fleet,
 
 void StragglerIdentifier::apply(fl::Fleet& fleet,
                                 const StragglerReport& report) {
+  // One pass through the O(1) id lookup; a repeated id ends with its last
+  // entry's flag and an id outside the fleet is ignored.
   for (const auto& t : report.timings) {
-    for (auto& c : fleet.clients()) {
-      if (c->id() == t.client_id) c->set_straggler(t.straggler);
+    if (fl::Client* c = fleet.find_client(t.client_id)) {
+      c->set_straggler(t.straggler);
     }
   }
 }

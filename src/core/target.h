@@ -32,6 +32,8 @@ class TargetDeterminer {
   /// [min_volume, 1] such that the masked cost-model cycle time is at most
   /// `report.pace_seconds` and peak memory fits. Writes volumes onto
   /// clients; returns the chosen volumes in fleet order (1.0 for capable).
+  /// The architecture-only cost of each distinct per-layer budget vector is
+  /// evaluated once per call and shared by every probe of every straggler.
   static std::vector<double> assign_profiled(fl::Fleet& fleet,
                                              const StragglerReport& report,
                                              double min_volume = 0.05);

@@ -8,35 +8,47 @@ constexpr double kBytesPerParam = 4.0;  // float32
 constexpr double kMb = 1.0e6;
 }  // namespace
 
-WorkloadEstimate estimate_workload(nn::Model& model, int samples_per_epoch,
-                                   int local_epochs) {
+CostTerms cost_terms(nn::Model& model) {
+  CostTerms t;
+  t.train_flops_per_sample = model.train_flops_per_sample();
+  t.activation_numel_per_sample = model.activation_numel_per_sample();
+  t.param_count = model.param_count();
+  // Upload only the parameters of neurons that actually trained. The frozen
+  // flat mask is non-empty exactly when a submodel mask is installed.
+  const auto& frozen = model.frozen_flat_mask();
+  t.uploaded_params = t.param_count;
+  if (!frozen.empty()) {
+    std::size_t frozen_count = 0;
+    for (auto b : frozen) frozen_count += (b != 0);
+    t.uploaded_params -= frozen_count;
+  }
+  return t;
+}
+
+WorkloadEstimate estimate_workload(const CostTerms& terms,
+                                   int samples_per_epoch, int local_epochs) {
   if (samples_per_epoch < 0 || local_epochs < 0) {
     throw std::invalid_argument("estimate_workload: negative counts");
   }
   const double steps =
       static_cast<double>(samples_per_epoch) * local_epochs;
   WorkloadEstimate w;
-  w.train_gflops = model.train_flops_per_sample() * steps / 1.0e9;
+  w.train_gflops = terms.train_flops_per_sample * steps / 1.0e9;
 
   const double param_bytes =
-      static_cast<double>(model.param_count()) * kBytesPerParam;
-  const double act_bytes =
-      model.activation_numel_per_sample() * kBytesPerParam;
+      static_cast<double>(terms.param_count) * kBytesPerParam;
+  const double act_bytes = terms.activation_numel_per_sample * kBytesPerParam;
   // Each sample streams its activations forward and backward; parameters are
   // re-read once per cycle for the optimizer update.
   w.mem_traffic_mb = (act_bytes * 2.0 * steps + param_bytes) / kMb;
-
-  // Upload only the parameters of neurons that actually trained. The frozen
-  // flat mask is non-empty exactly when a submodel mask is installed.
-  const auto& frozen = model.frozen_flat_mask();
-  std::size_t uploaded = model.param_count();
-  if (!frozen.empty()) {
-    std::size_t frozen_count = 0;
-    for (auto b : frozen) frozen_count += (b != 0);
-    uploaded -= frozen_count;
-  }
-  w.upload_mb = static_cast<double>(uploaded) * kBytesPerParam / kMb;
+  w.upload_mb =
+      static_cast<double>(terms.uploaded_params) * kBytesPerParam / kMb;
   return w;
+}
+
+WorkloadEstimate estimate_workload(nn::Model& model, int samples_per_epoch,
+                                   int local_epochs) {
+  return estimate_workload(cost_terms(model), samples_per_epoch, local_epochs);
 }
 
 double training_cycle_seconds(const ResourceProfile& p,
@@ -69,14 +81,18 @@ WorkloadEstimate paper_alexnet_cycle_workload(double memory_usage_mb) {
   return w;
 }
 
-double peak_memory_mb(nn::Model& model, int batch_size) {
+double peak_memory_mb(const CostTerms& terms, int batch_size) {
   if (batch_size <= 0) throw std::invalid_argument("peak_memory_mb: batch <= 0");
   const double param_bytes =
-      static_cast<double>(model.param_count()) * kBytesPerParam;
-  const double act_bytes = model.activation_numel_per_sample() *
+      static_cast<double>(terms.param_count) * kBytesPerParam;
+  const double act_bytes = terms.activation_numel_per_sample *
                            kBytesPerParam * batch_size;
   // params + grads + activations (+ activation grads in flight ~ 1x).
   return (2.0 * param_bytes + 2.0 * act_bytes) / kMb;
+}
+
+double peak_memory_mb(nn::Model& model, int batch_size) {
+  return peak_memory_mb(cost_terms(model), batch_size);
 }
 
 }  // namespace helios::device

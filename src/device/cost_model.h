@@ -21,8 +21,26 @@ struct WorkloadEstimate {
   double upload_mb = 0.0;
 };
 
-/// Estimates one local training cycle of `model` under its *current* mask:
-/// `samples_per_epoch * local_epochs` optimization steps' worth of compute.
+/// The architecture-only terms of the cost model for `model` under its
+/// *current* mask. A workload is these terms scaled by the cycle's step count
+/// and a peak footprint is them scaled by the batch, so planning code can
+/// evaluate them once per mask shape and reuse them across devices.
+struct CostTerms {
+  double train_flops_per_sample = 0.0;
+  double activation_numel_per_sample = 0.0;
+  std::size_t param_count = 0;
+  /// Parameters of neurons that actually train (all when unmasked).
+  std::size_t uploaded_params = 0;
+};
+
+CostTerms cost_terms(nn::Model& model);
+
+/// One local training cycle: `samples_per_epoch * local_epochs`
+/// optimization steps' worth of compute over `terms`.
+WorkloadEstimate estimate_workload(const CostTerms& terms,
+                                   int samples_per_epoch, int local_epochs);
+
+/// Estimates one local training cycle of `model` under its *current* mask.
 WorkloadEstimate estimate_workload(nn::Model& model, int samples_per_epoch,
                                    int local_epochs);
 
@@ -45,6 +63,7 @@ WorkloadEstimate paper_alexnet_cycle_workload(double memory_usage_mb);
 /// Estimated peak training memory (parameters + gradients + activations for
 /// one batch), MB — compared against ResourceProfile::memory_mb when
 /// determining optimization targets.
+double peak_memory_mb(const CostTerms& terms, int batch_size);
 double peak_memory_mb(nn::Model& model, int batch_size);
 
 }  // namespace helios::device

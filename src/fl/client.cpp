@@ -254,6 +254,11 @@ nn::StepResult Client::local_step(const data::Batch& batch,
 
 double Client::estimate_cycle_seconds(
     std::span<const std::uint8_t> neuron_mask) {
+  return cycle_seconds(cost_terms(neuron_mask));
+}
+
+device::CostTerms Client::cost_terms(
+    std::span<const std::uint8_t> neuron_mask) {
   // Analytic only: uses the shared architecture twin when hibernated so
   // planning over a large population never materializes replicas.
   nn::Model& model = estimation_model();
@@ -262,9 +267,14 @@ double Client::estimate_cycle_seconds(
   } else {
     model.set_neuron_mask(neuron_mask);
   }
-  const device::WorkloadEstimate workload = device::estimate_workload(
-      model, static_cast<int>(num_samples()), config_.local_epochs);
+  const device::CostTerms terms = device::cost_terms(model);
   model.clear_neuron_mask();
+  return terms;
+}
+
+double Client::cycle_seconds(const device::CostTerms& terms) const {
+  const device::WorkloadEstimate workload = device::estimate_workload(
+      terms, static_cast<int>(num_samples()), config_.local_epochs);
   return device::total_cycle_seconds(profile_, workload);
 }
 

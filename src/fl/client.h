@@ -97,6 +97,13 @@ class Client {
 
   /// Cost-model estimate of a cycle under `neuron_mask` without training.
   double estimate_cycle_seconds(std::span<const std::uint8_t> neuron_mask);
+  /// The architecture-only half of that estimate: the cost terms of the
+  /// estimation model under `neuron_mask` (empty = unmasked). Identical for
+  /// every client of one fleet, so planners may share them across clients.
+  device::CostTerms cost_terms(std::span<const std::uint8_t> neuron_mask);
+  /// The device-specific half: this client's full cycle time (training +
+  /// upload) over its shard and epochs for the given terms.
+  double cycle_seconds(const device::CostTerms& terms) const;
 
   /// Virtual cost of the lightweight identification test bench
   /// (`iterations` mini-batches of full-model training).

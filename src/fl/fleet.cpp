@@ -103,10 +103,14 @@ void Fleet::set_telemetry(obs::TelemetrySink* sink) {
 }
 
 Client* Fleet::find_client(int id) {
-  for (auto& c : clients_) {
-    if (c->id() == id) return c.get();
+  // Ids are dense: add_client hands out next_id_++ and clients are never
+  // removed (dead devices turn inactive, joiners append), so the id is the
+  // index. The id check guards a caller that reshaped clients().
+  if (id < 0 || static_cast<std::size_t>(id) >= clients_.size()) {
+    return nullptr;
   }
-  return nullptr;
+  Client* c = clients_[static_cast<std::size_t>(id)].get();
+  return c->id() == id ? c : nullptr;
 }
 
 std::vector<Client*> Fleet::active_clients() {

@@ -71,7 +71,8 @@ class Fleet {
   std::size_t size() const { return clients_.size(); }
   Client& client(std::size_t i) { return *clients_.at(i); }
   std::vector<std::unique_ptr<Client>>& clients() { return clients_; }
-  /// Client by id (nullptr if unknown). Ids are stable across churn.
+  /// Client by id (nullptr if unknown), O(1). Ids are stable across churn
+  /// and dense: the client with id i sits at index i.
   Client* find_client(int id);
   /// Clients currently in the roster (active; excludes dead devices).
   std::vector<Client*> active_clients();

@@ -1,11 +1,15 @@
 // Fast population-scale smoke: a 64-device long-tail fleet with cohort
 // sampling and churn completes a short Helios run, stays memory-bounded
 // (unsampled clients hold no replicas), and reports helios.sim.* metrics.
-// Kept small (<= 64 devices, 3 rounds) and labeled `scale_smoke` so CI can
-// run it on every change without paying for the full scale benchmarks.
+// Runs are kept small (<= 64 devices, 3 rounds) and labeled `scale_smoke`
+// so CI can run them on every change without paying for the full scale
+// benchmarks. One planning-only test sets up 32k lazy devices: set-up is
+// linear in the fleet, so a quadratic regression shows as a slow test.
 #include <gtest/gtest.h>
 
 #include "core/helios_strategy.h"
+#include "core/straggler_id.h"
+#include "core/target.h"
 #include "fl/hierarchy.h"
 #include "fl/transport.h"
 #include "obs/telemetry.h"
@@ -122,6 +126,41 @@ TEST(ScaleSmokeTest, HierarchicalTreeUnderChurnAndLossCompletes) {
             static_cast<long long>(kCycles));
   fleet.set_sampler(nullptr);
   fleet.set_telemetry(nullptr);
+}
+
+// Population planning at 32k lazy devices: time-based identification of
+// the slowest quarter, applying the flags, and profiled targets. Nothing
+// materializes and every step is O(N) (O(1) id lookup, memoized cost
+// terms); no wall-time assertion, the test's own duration is the signal.
+TEST(ScaleSmokeTest, ThirtyTwoThousandDevicePlanningIsConsistent) {
+  const int kDevices = 32768;
+  const double kMinVolume = 0.05;
+  sim::PopulationConfig cfg = sim::mobile_longtail(kDevices);
+  cfg.lazy_data = true;
+  fl::Fleet fleet = sim::build_fleet(sim::PopulationGenerator(cfg));
+
+  const core::StragglerReport report =
+      core::StragglerIdentifier::time_based(fleet, kDevices / 4);
+  core::StragglerIdentifier::apply(fleet, report);
+  const std::vector<double> volumes =
+      core::TargetDeterminer::assign_profiled(fleet, report, kMinVolume);
+
+  std::size_t flagged = 0;
+  for (auto& c : fleet.clients()) flagged += c->is_straggler() ? 1 : 0;
+  EXPECT_EQ(flagged, static_cast<std::size_t>(kDevices / 4));
+  ASSERT_EQ(report.timings.size(), static_cast<std::size_t>(kDevices));
+  for (const core::DeviceTiming& t : report.timings) {
+    const fl::Client* c = fleet.find_client(t.client_id);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(c->is_straggler(), t.straggler) << "id " << t.client_id;
+  }
+  ASSERT_EQ(volumes.size(), static_cast<std::size_t>(kDevices));
+  for (std::size_t i = 0; i < volumes.size(); ++i) {
+    EXPECT_GE(volumes[i], kMinVolume) << "client " << i;
+    EXPECT_LE(volumes[i], 1.0) << "client " << i;
+    EXPECT_EQ(fleet.client(i).volume(), volumes[i]) << "client " << i;
+    EXPECT_FALSE(fleet.client(i).materialized()) << "client " << i;
+  }
 }
 
 }  // namespace

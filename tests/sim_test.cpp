@@ -5,12 +5,15 @@
 // unsampled clients stay unmaterialized (memory-bounded fleets); churn
 // events are deterministic on the virtual clock.
 #include <cstring>
+#include <filesystem>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/helios_strategy.h"
+#include "fl/metrics.h"
 #include "fl/sync.h"
 #include "fl/transport.h"
 #include "obs/telemetry.h"
@@ -364,6 +367,113 @@ TEST(ChurnTest, DepartedDevicesLeaveTheRosterAndReleaseMemory) {
   EXPECT_EQ(rc.departed.size(), 6U);
   EXPECT_TRUE(fleet.active_clients().empty());
   EXPECT_EQ(fleet.live_replica_bytes(), 0U);
+}
+
+// ---- Fleet::find_client ----------------------------------------------------
+
+/// Every client resolves to itself by id; ids outside [0, size) resolve to
+/// nothing.
+void expect_lookup_resolves_roster(fl::Fleet& fleet) {
+  for (std::size_t i = 0; i < fleet.size(); ++i) {
+    fl::Client& c = fleet.client(i);
+    EXPECT_EQ(fleet.find_client(c.id()), &c) << "id " << c.id();
+  }
+  const int n = static_cast<int>(fleet.size());
+  for (int id : {-1, -100, n, n + 1, n + 1000}) {
+    EXPECT_EQ(fleet.find_client(id), nullptr) << "id " << id;
+  }
+}
+
+/// The client behind `id` is the population's device `id`.
+void expect_is_device(fl::Fleet& fleet, const sim::PopulationGenerator& pop,
+                      int id) {
+  fl::Client* c = fleet.find_client(id);
+  ASSERT_NE(c, nullptr) << "id " << id;
+  EXPECT_EQ(c->id(), id);
+  EXPECT_EQ(c->profile().compute_gflops, pop.device(id).profile.compute_gflops)
+      << "id " << id;
+  EXPECT_EQ(c->profile().net_bandwidth_mbps,
+            pop.device(id).profile.net_bandwidth_mbps)
+      << "id " << id;
+}
+
+TEST(FindClientTest, ResolvesAdmittedAndChurnJoiners) {
+  const sim::PopulationGenerator pop(sim::mobile_longtail(6));
+  fl::Fleet fleet = sim::build_fleet(pop);
+  // A joiner added by hand and admitted through the scalability manager.
+  fl::Client& joiner = sim::add_device(fleet, pop, 6);
+  core::ScalabilityManager().admit(fleet, joiner.id());
+  EXPECT_EQ(fleet.find_client(6), &joiner);
+
+  sim::ChurnOptions copts;
+  copts.arrival_rate_per_s = 0.5;
+  copts.mean_lifetime_s = 6.0;
+  copts.seed = 13;
+  copts.max_devices = 14;
+  sim::ChurnProcess churn(pop, copts);
+  std::vector<int> arrived;
+  for (int step = 0; step < 10; ++step) {
+    fleet.clock().advance(2.0);
+    const sim::RoundChurn rc = churn.step(fleet, step);
+    arrived.insert(arrived.end(), rc.arrived.begin(), rc.arrived.end());
+  }
+  ASSERT_FALSE(arrived.empty());
+  for (int id : arrived) expect_is_device(fleet, pop, id);
+  // Departed devices stay in the roster, inactive, and still resolve.
+  EXPECT_LT(fleet.active_clients().size(), fleet.size());
+  expect_lookup_resolves_roster(fleet);
+}
+
+TEST(FindClientTest, ResolvesJoinersReplayedOnResume) {
+  const std::string ckpt =
+      (std::filesystem::temp_directory_path() / "helios_find_client_resume")
+          .string();
+  const sim::PopulationGenerator pop(sim::mobile_longtail(4));
+  sim::ChurnOptions copts;
+  copts.arrival_rate_per_s = 0.5;
+  copts.seed = 21;
+  copts.max_devices = 9;
+  copts.admit_arrivals = false;
+  {
+    fl::Fleet fleet = sim::build_fleet(pop);
+    sim::ChurnProcess churn(pop, copts);
+    fleet.register_checkpointable("churn", &churn);
+    for (int step = 0; step < 8; ++step) {
+      fleet.clock().advance(2.0);
+      churn.step(fleet, step);
+    }
+    ASSERT_GT(fleet.size(), 4U);
+    fleet.save_checkpoint(ckpt, nullptr, fl::RunResult{});
+  }
+  fl::Fleet fleet = sim::build_fleet(pop);
+  sim::ChurnProcess churn(pop, copts);
+  fleet.register_checkpointable("churn", &churn);
+  EXPECT_EQ(fleet.find_client(4), nullptr);
+  fleet.resume(ckpt, nullptr);
+  std::filesystem::remove(ckpt);
+  ASSERT_GT(fleet.size(), 4U);
+  for (int id = 0; id < static_cast<int>(fleet.size()); ++id) {
+    expect_is_device(fleet, pop, id);
+  }
+  expect_lookup_resolves_roster(fleet);
+}
+
+TEST(FindClientTest, SurvivesFleetMove) {
+  const sim::PopulationGenerator pop(sim::mobile_longtail(8));
+  fl::Fleet fleet = sim::build_fleet(pop);
+  std::vector<fl::Client*> before;
+  for (int id = 0; id < 8; ++id) before.push_back(fleet.find_client(id));
+  fl::Fleet moved = std::move(fleet);
+  for (int id = 0; id < 8; ++id) {
+    EXPECT_EQ(moved.find_client(id), before[static_cast<std::size_t>(id)]);
+  }
+  fl::Fleet assigned = sim::build_fleet(sim::PopulationGenerator(
+      sim::mobile_longtail(2)));
+  assigned = std::move(moved);
+  for (int id = 0; id < 8; ++id) {
+    EXPECT_EQ(assigned.find_client(id), before[static_cast<std::size_t>(id)]);
+  }
+  expect_lookup_resolves_roster(assigned);
 }
 
 // ---- Telemetry -------------------------------------------------------------
