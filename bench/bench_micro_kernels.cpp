@@ -17,6 +17,7 @@
 
 #include "bench_common.h"
 #include "util/atomic_file.h"
+#include "util/host.h"
 #include "core/soft_training.h"
 #include "data/loader.h"
 #include "device/cost_model.h"
@@ -326,6 +327,7 @@ void write_parallel_scaling_json() {
 
   std::ostringstream os;  // buffered; replaced atomically below
   os << "{\n  \"schema\": 1,\n  \"scale\": \"" << scale.name << "\",\n"
+     << "  \"host\": " << util::host_json(util::this_host()) << ",\n"
      << "  \"hardware_concurrency\": "
      << std::thread::hardware_concurrency() << ",\n  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {

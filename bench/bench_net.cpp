@@ -33,6 +33,7 @@
 #include "sim/population.h"
 #include "sim/sampler.h"
 #include "util/atomic_file.h"
+#include "util/host.h"
 
 namespace {
 
@@ -208,7 +209,8 @@ int main() {
                      "lost", "drops", "wall (s)"});
   std::ostringstream json;  // buffered; replaced atomically below
   json << "{\n  \"schema\": 2,\n  \"scale\": \"" << scale.name
-       << "\",\n  \"cycles\": " << task.cycles << ",\n  \"strategies\": [\n";
+       << "\",\n  \"host\": " << util::host_json(util::this_host())
+       << ",\n  \"cycles\": " << task.cycles << ",\n  \"strategies\": [\n";
 
   for (std::size_t m = 0; m < methods.size(); ++m) {
     const std::string& method = methods[m];

@@ -35,6 +35,7 @@
 #include "sim/population.h"
 #include "sim/sampler.h"
 #include "util/atomic_file.h"
+#include "util/host.h"
 #include "util/table.h"
 
 namespace {
@@ -247,7 +248,8 @@ int main() {
                      "final acc (%)"});
   std::ostringstream json;  // buffered; replaced atomically below
   json << "{\n  \"schema\": 1,\n  \"scale\": \"" << scale.name
-       << "\",\n  \"cycles\": " << cycles << ",\n  \"points\": [\n";
+       << "\",\n  \"host\": " << util::host_json(util::this_host())
+       << ",\n  \"cycles\": " << cycles << ",\n  \"points\": [\n";
 
   for (std::size_t i = 0; i < sizes.size(); ++i) {
     const int devices = sizes[i];

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "device/cost_model.h"
+
 namespace helios::core {
 
 ScalabilityManager::ScalabilityManager(bool use_profiling, double pace_factor,
@@ -22,20 +24,25 @@ AdmissionResult ScalabilityManager::admit(fl::Fleet& fleet, int client_id) {
   fl::Client* joining = fleet.find_client(client_id);
   if (!joining) throw std::invalid_argument("admit: unknown client");
 
-  // Collaboration pace: the slowest *capable* existing device.
+  // Collaboration pace: the slowest *capable* existing device. Profiling
+  // evaluates the architecture-only cost terms of the full model once —
+  // they are the same for every client of the fleet — and prices each
+  // device's cycle from them, so admission walks the model once, not once
+  // per device.
+  device::CostTerms terms;
+  if (use_profiling_) terms = joining->cost_terms({});
+  auto cycle = [&](fl::Client& c) {
+    return use_profiling_ ? c.cycle_seconds(terms) : c.testbench_seconds(5);
+  };
   double pace = 0.0;
   for (auto& c : fleet.clients()) {
     if (c->id() == client_id || c->is_straggler()) continue;
-    pace = std::max(pace, use_profiling_
-                              ? c->estimate_cycle_seconds({})
-                              : c->testbench_seconds(5));
+    pace = std::max(pace, cycle(*c));
   }
   AdmissionResult result;
   result.client_id = client_id;
   result.pace_seconds = pace;
-  result.estimated_cycle_seconds =
-      use_profiling_ ? joining->estimate_cycle_seconds({})
-                     : joining->testbench_seconds(5);
+  result.estimated_cycle_seconds = cycle(*joining);
   if (pace <= 0.0) {
     // First device, or all existing devices straggle: joins as capable.
     return result;

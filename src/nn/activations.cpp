@@ -5,19 +5,31 @@
 
 namespace helios::nn {
 
+// The ReLU loops select instead of branching: the sign of an activation is
+// close to random, and the uint8 mask could alias the float data, which
+// would keep the compiler from vectorizing. Locals and __restrict fix both.
+// They read the input once and write a fresh tensor, not copy-then-modify.
 Tensor ReLU::forward(const Tensor& x, bool training) {
-  Tensor y = x;
-  float* yp = y.data();
+  Tensor y(x.shape());
+  const float* __restrict xp = x.data();
+  float* __restrict yp = y.data();
+  const std::size_t count = y.numel();
   if (training) {
-    positive_.resize(y.numel());
-    cached_numel_ = y.numel();
-    for (std::size_t i = 0; i < y.numel(); ++i) {
-      positive_[i] = yp[i] > 0.0F;
-      if (!positive_[i]) yp[i] = 0.0F;
+    positive_.resize(count);
+    cached_numel_ = count;
+    std::uint8_t* __restrict pos = positive_.data();
+    // v > 0 is false for -0.0 and NaN, so both train to +0.0.
+    for (std::size_t i = 0; i < count; ++i) {
+      const float v = xp[i];
+      const bool p = v > 0.0F;
+      pos[i] = static_cast<std::uint8_t>(p);
+      yp[i] = p ? v : 0.0F;
     }
   } else {
-    for (std::size_t i = 0; i < y.numel(); ++i) {
-      if (yp[i] < 0.0F) yp[i] = 0.0F;
+    // Inference clamps only v < 0: -0.0 and NaN pass through unchanged.
+    for (std::size_t i = 0; i < count; ++i) {
+      const float v = xp[i];
+      yp[i] = v < 0.0F ? 0.0F : v;
     }
   }
   return y;
@@ -27,10 +39,14 @@ Tensor ReLU::backward(const Tensor& grad_out) {
   if (grad_out.numel() != cached_numel_) {
     throw std::logic_error("ReLU: backward/forward size mismatch");
   }
-  Tensor dx = grad_out;
-  float* dp = dx.data();
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    if (!positive_[i]) dp[i] = 0.0F;
+  Tensor dx(grad_out.shape());
+  const float* __restrict gp = grad_out.data();
+  float* __restrict dp = dx.data();
+  const std::uint8_t* __restrict pos = positive_.data();
+  const std::size_t count = dx.numel();
+  for (std::size_t i = 0; i < count; ++i) {
+    const float g = gp[i];
+    dp[i] = pos[i] != 0 ? g : 0.0F;
   }
   return dx;
 }

@@ -60,17 +60,15 @@ Tensor Conv2d::forward(const Tensor& x, bool training) {
       geometry_.in_w;
   Tensor y({n, out_channels_, oh, ow});
   // Samples are independent: the batch splits across the pool, each chunk
-  // with its own im2col scratch. Every output plane is written by exactly
-  // one chunk with the sequential per-sample math, so the result is
-  // bit-identical at any thread count.
+  // with its own im2col scratch, unfolding straight from the batch tensor.
+  // Every output plane is written by exactly one chunk with the sequential
+  // per-sample math, so the result is bit-identical at any thread count.
   auto run_samples = [&](std::int64_t lo, std::int64_t hi) {
     Tensor cols({geometry_.patch_size(), plane});
-    Tensor sample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
     Tensor ys({out_channels_, plane});
     for (std::int64_t i = lo; i < hi; ++i) {
-      std::copy_n(x.data() + static_cast<std::size_t>(i) * in_sample,
-                  in_sample, sample.data());
-      tensor::im2col(sample, geometry_, cols);
+      tensor::im2col(x.data() + static_cast<std::size_t>(i) * in_sample,
+                     geometry_, cols.data());
       tensor::matmul_masked_rows_into(weight_, cols, mask_, ys);
       float* yp =
           y.data() + static_cast<std::size_t>(i) * out_channels_ * plane;
@@ -115,13 +113,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   Tensor dx({n, geometry_.in_channels, geometry_.in_h, geometry_.in_w});
 
   // Per-sample body: accumulates this sample's dW/db into `dw`/`db` and
-  // writes its dx slice (disjoint across samples).
-  auto backward_sample = [&](int i, Tensor& cols, Tensor& dcols,
-                             Tensor& sample, Tensor& dsample, Tensor& gy,
+  // folds its dx slice (disjoint across samples) straight into `dx`, whose
+  // zero initialisation is the fold's starting value.
+  auto backward_sample = [&](int i, Tensor& cols, Tensor& dcols, Tensor& gy,
                              Tensor& dw, Tensor& db) {
-    std::copy_n(cached_input_.data() + static_cast<std::size_t>(i) * in_sample,
-                in_sample, sample.data());
-    tensor::im2col(sample, geometry_, cols);
+    const std::size_t in_off = static_cast<std::size_t>(i) * in_sample;
+    tensor::im2col(cached_input_.data() + in_off, geometry_, cols.data());
     const float* gp = grad_out.data() +
                       static_cast<std::size_t>(i) * out_channels_ * plane;
     std::copy_n(gp, static_cast<std::size_t>(out_channels_) * plane, gy.data());
@@ -138,10 +135,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     // dcols = W^T dY restricted to active filters, folded back to dx.
     dcols.fill(0.0F);
     tensor::matmul_tn_masked_accumulate(weight_, gy, mask_, dcols);
-    dsample.fill(0.0F);
-    tensor::col2im_accumulate(dcols, geometry_, dsample);
-    std::copy_n(dsample.data(), in_sample,
-                dx.data() + static_cast<std::size_t>(i) * in_sample);
+    tensor::col2im_accumulate(dcols.data(), geometry_, dx.data() + in_off);
   };
 
   const std::int64_t per_sample = 2 * static_cast<std::int64_t>(out_channels_) *
@@ -163,15 +157,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     util::parallel_for(0, nchunks, 1, [&](std::int64_t clo, std::int64_t chi) {
       Tensor cols({geometry_.patch_size(), plane});
       Tensor dcols({geometry_.patch_size(), plane});
-      Tensor sample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
-      Tensor dsample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
       Tensor gy({out_channels_, plane});
       for (std::int64_t c = clo; c < chi; ++c) {
         const int lo = static_cast<int>(n * c / nchunks);
         const int hi = static_cast<int>(n * (c + 1) / nchunks);
         for (int i = lo; i < hi; ++i) {
-          backward_sample(i, cols, dcols, sample, dsample, gy,
-                          dws[static_cast<std::size_t>(c)],
+          backward_sample(i, cols, dcols, gy, dws[static_cast<std::size_t>(c)],
                           dbs[static_cast<std::size_t>(c)]);
         }
       }
@@ -183,11 +174,9 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   } else {
     Tensor cols({geometry_.patch_size(), plane});
     Tensor dcols({geometry_.patch_size(), plane});
-    Tensor sample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
-    Tensor dsample({geometry_.in_channels, geometry_.in_h, geometry_.in_w});
     Tensor gy({out_channels_, plane});
     for (int i = 0; i < n; ++i) {
-      backward_sample(i, cols, dcols, sample, dsample, gy, dweight_, dbias_);
+      backward_sample(i, cols, dcols, gy, dweight_, dbias_);
     }
   }
   return dx;

@@ -2,10 +2,45 @@
 
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 namespace helios::nn {
 
 using tensor::Shape;
+
+namespace {
+
+// One output row of max pooling: per window, a select-based running max and
+// argmax over the taps in scan order (ky, kx), carried in registers. The
+// strict > keeps the first of tied maxima and never takes a NaN; an all-NaN
+// (or all -inf) window yields -inf at index 0. Positive `K`/`S` fix kernel
+// and stride at compile time, which unrolls the taps and lets the column
+// loop vectorize (the model zoo pools 2x2 with stride 2); 0 reads them from
+// `kernel`/`stride`.
+template <int K, int S>
+void max_pool_row(const float* __restrict plane, int in_w, int kernel,
+                  int stride, int oy, int ow, float* __restrict best,
+                  int* __restrict arg) {
+  const int k = K > 0 ? K : kernel;
+  const int s = S > 0 ? S : stride;
+  for (int ox = 0; ox < ow; ++ox) {
+    float b = -std::numeric_limits<float>::infinity();
+    int a = 0;
+    for (int ky = 0; ky < k; ++ky) {
+      const int row = (oy * s + ky) * in_w + ox * s;
+      for (int kx = 0; kx < k; ++kx) {
+        const float v = plane[row + kx];
+        const bool better = v > b;
+        b = better ? v : b;
+        a = better ? row + kx : a;
+      }
+    }
+    best[ox] = b;
+    arg[ox] = a;
+  }
+}
+
+}  // namespace
 
 MaxPool2d::MaxPool2d(int channels, int in_h, int in_w, int kernel, int stride)
     : channels_(channels),
@@ -34,31 +69,23 @@ Tensor MaxPool2d::forward(const Tensor& x, bool training) {
     argmax_.assign(static_cast<std::size_t>(n) * channels_ * oh * ow, 0);
     cached_batch_ = n;
   }
-  const float* xp = x.data();
-  float* yp = y.data();
+  // Inference keeps no argmax; its indices go to a one-row scratch.
+  std::vector<int> scratch(training ? 0 : static_cast<std::size_t>(ow));
   const std::size_t in_plane = static_cast<std::size_t>(in_h_) * in_w_;
   std::size_t out_idx = 0;
   for (int i = 0; i < n; ++i) {
     for (int c = 0; c < channels_; ++c) {
       const float* plane =
-          xp + (static_cast<std::size_t>(i) * channels_ + c) * in_plane;
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox, ++out_idx) {
-          float best = -std::numeric_limits<float>::infinity();
-          int best_idx = 0;
-          for (int ky = 0; ky < kernel_; ++ky) {
-            const int iy = oy * stride_ + ky;
-            for (int kx = 0; kx < kernel_; ++kx) {
-              const int ix = ox * stride_ + kx;
-              const int idx = iy * in_w_ + ix;
-              if (plane[idx] > best) {
-                best = plane[idx];
-                best_idx = idx;
-              }
-            }
-          }
-          yp[out_idx] = best;
-          if (training) argmax_[out_idx] = best_idx;
+          x.data() + (static_cast<std::size_t>(i) * channels_ + c) * in_plane;
+      for (int oy = 0; oy < oh; ++oy, out_idx += static_cast<std::size_t>(ow)) {
+        float* best = y.data() + out_idx;
+        int* arg = training ? argmax_.data() + out_idx : scratch.data();
+        if (kernel_ == 2 && stride_ == 2) {
+          max_pool_row<2, 2>(plane, in_w_, kernel_, stride_, oy, ow, best,
+                             arg);
+        } else {
+          max_pool_row<0, 0>(plane, in_w_, kernel_, stride_, oy, ow, best,
+                             arg);
         }
       }
     }

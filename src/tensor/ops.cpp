@@ -285,32 +285,157 @@ void matmul_nt_masked_rows_accumulate(const Tensor& a, const Tensor& b,
               });
 }
 
-void im2col(const Tensor& x, const Conv2dGeometry& g, Tensor& cols) {
-  if (x.shape() != Shape{g.in_channels, g.in_h, g.in_w}) {
-    throw std::invalid_argument("im2col: input shape mismatch " +
-                                shape_to_string(x.shape()));
+namespace {
+
+/// Half-open range [lo, hi) of output positions o in [0, out) whose input
+/// coordinate o * stride + off lands inside [0, in). Empty ranges come back
+/// as lo == hi.
+struct Span {
+  int lo = 0;
+  int hi = 0;
+};
+
+inline Span valid_span(int off, int stride, int in, int out) {
+  if (stride == 1) {
+    const int lo = std::clamp(-off, 0, out);
+    return {lo, std::clamp(in - off, lo, out)};
   }
+  const int lo = off >= 0 ? 0 : std::min(out, (-off + stride - 1) / stride);
+  const int hi = in - off <= 0
+                     ? 0
+                     : std::min(out, (in - off + stride - 1) / stride);
+  return {lo, std::max(lo, hi)};
+}
+
+// dst[i] += src[i] (add_span) and dst[i * step] += src[i] (add_strided)
+// for i in [0, n). Separate restrict parameters let the compiler vectorize
+// without a runtime overlap check per call.
+inline void add_span(float* __restrict dst, const float* __restrict src,
+                     std::ptrdiff_t n) {
+  for (std::ptrdiff_t i = 0; i < n; ++i) dst[i] += src[i];
+}
+
+inline void add_strided(float* __restrict dst, const float* __restrict src,
+                        std::ptrdiff_t n, int step) {
+  for (std::ptrdiff_t i = 0; i < n; ++i) dst[i * step] += src[i];
+}
+
+}  // namespace
+
+// Both loops below hoist the padding bounds out of the element loop: per
+// kernel tap (ky, kx), the output positions that read a real input pixel
+// form a rectangle [ys.lo, ys.hi) x [xs.lo, xs.hi), and everything outside
+// it is padding. Offsets stay integers until they are known to be in range,
+// so no pointer is ever formed outside the buffers. With stride 1 and
+// ow == in_w ("same" padding) output index oy * ow + ox and input index
+// iy * in_w + ix differ by a constant per tap, so whole blocks of rows are
+// contiguous on both sides.
+
+void im2col(const float* x, const Conv2dGeometry& g, float* cols) {
   const int oh = g.out_h(), ow = g.out_w();
-  const Shape want{g.patch_size(), oh * ow};
-  if (cols.shape() != want) cols = Tensor(want);
-  float* cp = cols.data();
-  const float* xp = x.data();
-  const int hw = g.in_h * g.in_w;
+  const int s = g.stride;
+  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(oh) * ow;
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(g.in_h) * g.in_w;
+  const bool same_rows = s == 1 && ow == g.in_w;
+  // A pure copy, so the tap order is free: channels run innermost and each
+  // tap's bounds are computed once.
+  for (int ky = 0; ky < g.kernel; ++ky) {
+    const Span ys = valid_span(ky - g.pad, s, g.in_h, oh);
+    for (int kx = 0; kx < g.kernel; ++kx) {
+      const Span xs = valid_span(kx - g.pad, s, g.in_w, ow);
+      const bool empty = ys.lo == ys.hi || xs.lo == xs.hi;
+      // Input offset of output (ys.lo, xs.lo) within a channel.
+      const std::ptrdiff_t src0 =
+          static_cast<std::ptrdiff_t>(ys.lo * s + ky - g.pad) * g.in_w +
+          (xs.lo * s + kx - g.pad);
+      for (int c = 0; c < g.in_channels; ++c) {
+        float* crow = cols + ((c * g.kernel + ky) * g.kernel + kx) * plane;
+        if (empty) {
+          std::fill_n(crow, plane, 0.0F);
+          continue;
+        }
+        const float* in = x + c * hw + src0;
+        std::fill_n(crow, static_cast<std::ptrdiff_t>(ys.lo) * ow, 0.0F);
+        std::fill_n(crow + static_cast<std::ptrdiff_t>(ys.hi) * ow,
+                    static_cast<std::ptrdiff_t>(oh - ys.hi) * ow, 0.0F);
+        if (same_rows) {
+          // One block copy covers every valid row; the columns it wrapped
+          // into from neighbouring rows are padding and get re-zeroed,
+          // column by column (a handful of strided stores, no calls).
+          const std::ptrdiff_t first =
+              static_cast<std::ptrdiff_t>(ys.lo) * ow + xs.lo;
+          const std::ptrdiff_t last =
+              static_cast<std::ptrdiff_t>(ys.hi - 1) * ow + xs.hi;
+          std::copy_n(in, last - first, crow + first);
+          auto zero_column = [&](int ox) {
+            for (int oy = ys.lo; oy < ys.hi; ++oy) {
+              crow[static_cast<std::ptrdiff_t>(oy) * ow + ox] = 0.0F;
+            }
+          };
+          for (int ox = 0; ox < xs.lo; ++ox) zero_column(ox);
+          for (int ox = xs.hi; ox < ow; ++ox) zero_column(ox);
+          continue;
+        }
+        for (int oy = ys.lo; oy < ys.hi; ++oy) {
+          float* out = crow + static_cast<std::ptrdiff_t>(oy) * ow;
+          const float* row =
+              in + static_cast<std::ptrdiff_t>(oy - ys.lo) * s * g.in_w;
+          std::fill_n(out, xs.lo, 0.0F);
+          if (s == 1) {
+            std::copy_n(row, xs.hi - xs.lo, out + xs.lo);
+          } else {
+            for (int ox = xs.lo; ox < xs.hi; ++ox) {
+              out[ox] = row[static_cast<std::ptrdiff_t>(ox - xs.lo) * s];
+            }
+          }
+          std::fill_n(out + xs.hi, ow - xs.hi, 0.0F);
+        }
+      }
+    }
+  }
+}
+
+void col2im_accumulate(const float* cols, const Conv2dGeometry& g,
+                       float* dx) {
+  // Each input pixel receives its additions in tap order (c, ky, kx), and
+  // within one tap every valid output position maps to a distinct pixel, so
+  // the element order inside a tap is free: the sums are bit-identical to a
+  // plain c -> ky -> kx -> oy -> ox walk with per-element bounds checks.
+  // Padded positions are skipped, never added as zeros (-0.0 + 0.0 would
+  // change a sign bit).
+  const int oh = g.out_h(), ow = g.out_w();
+  const int s = g.stride;
+  const std::ptrdiff_t plane = static_cast<std::ptrdiff_t>(oh) * ow;
+  const std::ptrdiff_t hw = static_cast<std::ptrdiff_t>(g.in_h) * g.in_w;
+  const bool same_rows = s == 1 && ow == g.in_w;
   for (int c = 0; c < g.in_channels; ++c) {
     for (int ky = 0; ky < g.kernel; ++ky) {
+      const Span ys = valid_span(ky - g.pad, s, g.in_h, oh);
       for (int kx = 0; kx < g.kernel; ++kx) {
-        const int row = (c * g.kernel + ky) * g.kernel + kx;
-        float* crow = cp + static_cast<std::size_t>(row) * oh * ow;
-        for (int oy = 0; oy < oh; ++oy) {
-          const int iy = oy * g.stride + ky - g.pad;
-          const bool y_ok = iy >= 0 && iy < g.in_h;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * g.stride + kx - g.pad;
-            const std::size_t out_idx =
-                static_cast<std::size_t>(oy) * ow + static_cast<std::size_t>(ox);
-            crow[out_idx] = (y_ok && ix >= 0 && ix < g.in_w)
-                                ? xp[c * hw + iy * g.in_w + ix]
-                                : 0.0F;
+        const Span xs = valid_span(kx - g.pad, s, g.in_w, ow);
+        const int n = xs.hi - xs.lo;
+        if (ys.lo == ys.hi || n == 0) continue;
+        const float* crow =
+            cols + ((c * g.kernel + ky) * g.kernel + kx) * plane +
+            static_cast<std::ptrdiff_t>(ys.lo) * ow + xs.lo;
+        const std::ptrdiff_t out0 =
+            c * hw +
+            static_cast<std::ptrdiff_t>(ys.lo * s + ky - g.pad) * g.in_w +
+            (xs.lo * s + kx - g.pad);
+        if (same_rows && n == ow) {
+          // Full-width tap: the valid rows are one contiguous block.
+          add_span(dx + out0, crow,
+                   static_cast<std::ptrdiff_t>(ys.hi - ys.lo) * ow);
+          continue;
+        }
+        const std::ptrdiff_t out_step = static_cast<std::ptrdiff_t>(s) * g.in_w;
+        for (int r = 0; r < ys.hi - ys.lo; ++r) {
+          float* out = dx + out0 + r * out_step;
+          const float* in = crow + static_cast<std::ptrdiff_t>(r) * ow;
+          if (s == 1) {
+            add_span(out, in, n);
+          } else {
+            add_strided(out, in, n, s);
           }
         }
       }
@@ -318,36 +443,25 @@ void im2col(const Tensor& x, const Conv2dGeometry& g, Tensor& cols) {
   }
 }
 
+void im2col(const Tensor& x, const Conv2dGeometry& g, Tensor& cols) {
+  if (x.shape() != Shape{g.in_channels, g.in_h, g.in_w}) {
+    throw std::invalid_argument("im2col: input shape mismatch " +
+                                shape_to_string(x.shape()));
+  }
+  const Shape want{g.patch_size(), g.out_h() * g.out_w()};
+  if (cols.shape() != want) cols = Tensor(want);
+  im2col(x.data(), g, cols.data());
+}
+
 void col2im_accumulate(const Tensor& cols, const Conv2dGeometry& g,
                        Tensor& dx) {
-  const int oh = g.out_h(), ow = g.out_w();
-  if (cols.shape() != Shape{g.patch_size(), oh * ow}) {
+  if (cols.shape() != Shape{g.patch_size(), g.out_h() * g.out_w()}) {
     throw std::invalid_argument("col2im: cols shape mismatch");
   }
   if (dx.shape() != Shape{g.in_channels, g.in_h, g.in_w}) {
     throw std::invalid_argument("col2im: output shape mismatch");
   }
-  const float* cp = cols.data();
-  float* xp = dx.data();
-  const int hw = g.in_h * g.in_w;
-  for (int c = 0; c < g.in_channels; ++c) {
-    for (int ky = 0; ky < g.kernel; ++ky) {
-      for (int kx = 0; kx < g.kernel; ++kx) {
-        const int row = (c * g.kernel + ky) * g.kernel + kx;
-        const float* crow = cp + static_cast<std::size_t>(row) * oh * ow;
-        for (int oy = 0; oy < oh; ++oy) {
-          const int iy = oy * g.stride + ky - g.pad;
-          if (iy < 0 || iy >= g.in_h) continue;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * g.stride + kx - g.pad;
-            if (ix < 0 || ix >= g.in_w) continue;
-            xp[c * hw + iy * g.in_w + ix] +=
-                crow[static_cast<std::size_t>(oy) * ow + ox];
-          }
-        }
-      }
-    }
-  }
+  col2im_accumulate(cols.data(), g, dx.data());
 }
 
 void row_softmax(const Tensor& logits, Tensor& probs) {

@@ -136,11 +136,18 @@ struct Conv2dGeometry {
   int patch_size() const { return in_channels * kernel * kernel; }
 };
 
-/// Unfolds one sample `x[C,H,W]` into `cols[patch_size, out_h*out_w]`.
-/// `cols` must be pre-shaped; zero-padding handled implicitly.
-void im2col(const Tensor& x, const Conv2dGeometry& g, Tensor& cols);
+/// Unfolds one sample `x[C,H,W]` into `cols[patch_size, out_h*out_w]`
+/// (row-major, both dense); zero-padding handled implicitly. A pure copy:
+/// every element of `cols` is an input element or +0.0.
+void im2col(const float* x, const Conv2dGeometry& g, float* cols);
 
-/// Folds `cols[patch_size, out_h*out_w]` back into `dx[C,H,W]` (accumulates).
+/// Folds `cols[patch_size, out_h*out_w]` back into `dx[C,H,W]`
+/// (accumulates). Each pixel receives its additions in tap order
+/// (channel, ky, kx), which fixes the float result.
+void col2im_accumulate(const float* cols, const Conv2dGeometry& g, float* dx);
+
+/// Shape-checked forms of the two above; `cols` is reshaped if needed.
+void im2col(const Tensor& x, const Conv2dGeometry& g, Tensor& cols);
 void col2im_accumulate(const Tensor& cols, const Conv2dGeometry& g, Tensor& dx);
 
 // ---------------------------------------------------------------------------

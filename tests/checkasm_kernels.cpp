@@ -8,7 +8,11 @@
 //   checkasm_kernels --list           print the kernel names
 //   checkasm_kernels --bench [--out <file>]
 //                                     cycles/call + GFLOP/s per kernel and
-//                                     backend at three shape classes; writes
+//                                     backend at three shape classes, plus
+//                                     ns/sample + bytes moved for the conv
+//                                     lowering (im2col, col2im, ReLU,
+//                                     max-pool) at the AlexNet-lite and
+//                                     LeNet layer shapes; writes
 //                                     BENCH_kernels.json for the perf gate
 //
 // Verification contract (tensor/backend/kernels.h):
@@ -32,11 +36,15 @@
 #include <string>
 #include <vector>
 
+#include "nn/activations.h"
 #include "nn/conv2d.h"
+#include "nn/pool.h"
 #include "tensor/backend/dispatch.h"
 #include "tensor/backend/kernels.h"
+#include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/atomic_file.h"
+#include "util/host.h"
 #include "util/rng.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -786,8 +794,84 @@ int run_bench(const std::string& out_path) {
     }
   }
 
+  // The conv lowering and the elementwise layers around it: plain loops,
+  // identical on every backend, so one timing per shape. Rows report ns per
+  // sample and the bytes each sample moves (reads + writes the loop's data
+  // dependencies require, not cache traffic).
+  struct LoweringShape {
+    const char* name;
+    int in_c, in_h, in_w, out_c, kernel, pad;
+    bool pooled;  // a 2x2 max-pool follows this conv
+  };
+  const LoweringShape lowering_shapes[] = {
+      {"alexnet_lite_conv1", 3, 32, 32, 8, 3, 1, true},
+      {"alexnet_lite_conv2", 8, 16, 16, 16, 3, 1, true},
+      {"alexnet_lite_conv3", 16, 8, 8, 24, 3, 1, false},
+      {"alexnet_lite_conv4", 24, 8, 8, 24, 3, 1, false},
+      {"alexnet_lite_conv5", 24, 8, 8, 16, 3, 1, true},
+      {"lenet_conv1", 1, 28, 28, 6, 5, 2, true},
+      {"lenet_conv2", 6, 14, 14, 16, 5, 0, true},
+  };
+  constexpr int kLoweringBatch = 8;
+  auto lowering_row = [&](const std::string& kernel, const char* shape,
+                          double seconds_per_sample, double bytes) {
+    std::cout << "[checkasm bench] " << kernel << '/' << shape << "\n";
+    cases << ",\n    {\"name\": \"" << kernel << '/' << shape
+          << "\", \"ns_per_sample\": " << seconds_per_sample * 1e9
+          << ", \"bytes_per_sample\": " << bytes << "}";
+  };
+  for (const LoweringShape& ls : lowering_shapes) {
+    const helios::tensor::Conv2dGeometry g{ls.in_c, ls.in_h, ls.in_w,
+                                           ls.kernel, 1, ls.pad};
+    const int plane = g.out_h() * g.out_w();
+    const double in_bytes = 4.0 * ls.in_c * ls.in_h * ls.in_w;
+    const double cols_bytes = 4.0 * g.patch_size() * plane;
+    Rng rng(44);
+    const Tensor x = Tensor::randn({ls.in_c, ls.in_h, ls.in_w}, rng);
+    Tensor cols({g.patch_size(), plane});
+    lowering_row("im2col", ls.name,
+                 run_timed([&] { helios::tensor::im2col(x, g, cols); }, target)
+                     .seconds_per_call,
+                 in_bytes + cols_bytes);
+    Tensor dx({ls.in_c, ls.in_h, ls.in_w});
+    lowering_row("col2im", ls.name,
+                 run_timed(
+                     [&] { helios::tensor::col2im_accumulate(cols, g, dx); },
+                     target)
+                     .seconds_per_call,
+                 cols_bytes + 2.0 * in_bytes);
+
+    // ReLU on this conv's output; training forward writes the sign mask.
+    const double act = static_cast<double>(ls.out_c) * plane;
+    const Tensor y = Tensor::randn(
+        {kLoweringBatch, ls.out_c, g.out_h(), g.out_w()}, rng);
+    helios::nn::ReLU relu;
+    lowering_row("relu_fwd", ls.name,
+                 run_timed([&] { (void)relu.forward(y, true); }, target)
+                         .seconds_per_call /
+                     kLoweringBatch,
+                 9.0 * act);
+    lowering_row("relu_bwd", ls.name,
+                 run_timed([&] { (void)relu.backward(y); }, target)
+                         .seconds_per_call /
+                     kLoweringBatch,
+                 9.0 * act);
+    if (ls.pooled) {
+      helios::nn::MaxPool2d pool(ls.out_c, g.out_h(), g.out_w(), 2, 2);
+      const double pooled = static_cast<double>(ls.out_c) * pool.out_h() *
+                            pool.out_w();
+      lowering_row("maxpool_fwd", ls.name,
+                   run_timed([&] { (void)pool.forward(y, true); }, target)
+                           .seconds_per_call /
+                       kLoweringBatch,
+                   4.0 * act + 8.0 * pooled);
+    }
+  }
+
   std::ostringstream os;
   os << "{\n  \"schema\": 1,\n  \"scale\": \"" << scale << "\",\n"
+     << "  \"host\": "
+     << helios::util::host_json(helios::util::this_host()) << ",\n"
      << "  \"cases\": [\n" << cases.str() << "\n  ]\n}\n";
   try {
     helios::util::atomic_write_file(out_path, os.str());

@@ -4,9 +4,11 @@
 // retry/deadline accounting, the frame-bytes-vs-analytic-cost agreement the
 // cost model relies on, and fleet-level churn (death + late join).
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -224,6 +226,36 @@ TEST(WireTest, Crc32MatchesKnownVector) {
   // IEEE 802.3 CRC of "123456789" is 0xCBF43926.
   const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
   EXPECT_EQ(net::crc32(digits), 0xCBF43926U);
+}
+
+// The byte-at-a-time table loop crc32 used before slicing-by-8, verbatim.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> bytes) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (std::uint8_t b : bytes) {
+    c = table[(c ^ b) & 0xFFU] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+TEST(WireTest, Crc32MatchesBytewiseLoopAtEveryLengthAndAlignment) {
+  util::Rng rng(32);
+  std::vector<std::uint8_t> buf(1024 + 8);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::span<const std::uint8_t> bytes(buf.data() + offset, len);
+      ASSERT_EQ(net::crc32(bytes), bytewise_crc32(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 // Satellite: the exact frame byte count and the analytic upload volume

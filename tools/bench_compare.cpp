@@ -27,7 +27,11 @@
 //   counts / bytes / MB  regression when off by > 20% + small abs slack
 //
 // The wide time tolerance absorbs machine noise (a repeat run on the same
-// box passes) while still tripping on a genuine 2x slowdown. Scale or
+// box passes) while still tripping on a genuine 2x slowdown. Each snapshot
+// records its host (nproc, CPU model, compiler, build type); when baseline
+// and fresh run disagree, one "host differs" note names both, so a verdict
+// a host change explains shows next to its cause (verdicts and thresholds
+// do not depend on the host). Scale or
 // schema mismatches and metrics missing from the fresh run are structural
 // failures. Informational drifts are reported but never fail the gate.
 // Exit: 0 by default; with --check, 1 when any regression was found.
@@ -38,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "util/host.h"
 #include "util/json.h"
 
 namespace {
@@ -73,6 +78,8 @@ void flatten(const JsonValue& v, const std::string& prefix,
     out.push_back({prefix, v.as_number()});
   } else if (v.is_object()) {
     for (const auto& [k, child] : v.members()) {
+      // The recording host is environment, compared by its own note.
+      if (prefix.empty() && k == "host") continue;
       flatten(child, prefix.empty() ? k : prefix + "." + k, out);
     }
   } else if (v.is_array()) {
@@ -246,6 +253,14 @@ FileReport compare_file(const std::string& name, const std::string& old_path,
                 << " vs new " << bs << " (structural mismatch)\n";
       ++r.regressions;
     }
+  }
+
+  // A different host explains time drifts without changing any verdict.
+  const std::string host_line = helios::util::host_mismatch_line(
+      helios::util::host_from_json(oldv), helios::util::host_from_json(newv));
+  if (!host_line.empty()) {
+    std::cout << "note       " << name << " " << host_line << "\n";
+    ++r.infos;
   }
 
   std::vector<Metric> old_metrics;
