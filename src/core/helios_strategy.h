@@ -14,7 +14,7 @@
 
 #include "core/rotation.h"
 #include "core/soft_training.h"
-#include "fl/strategy.h"
+#include "fl/round.h"
 
 namespace helios::core {
 
@@ -39,13 +39,11 @@ struct HeliosConfig {
   std::uint64_t seed = 31;
 };
 
-class HeliosStrategy final : public fl::Strategy {
+class HeliosStrategy final : public fl::SyncRoundStrategy {
  public:
   explicit HeliosStrategy(HeliosConfig config = {});
 
   std::string name() const override;
-  void run_range(fl::Fleet& fleet, fl::RunResult& result, int begin,
-                 int end) override;
 
   /// Cross-cycle soft-training state, per straggler: keep ratio, per-neuron
   /// contributions U^ij, the mask-drawing RNG position, and the C_s
@@ -68,9 +66,22 @@ class HeliosStrategy final : public fl::Strategy {
   };
   StragglerState& state_for(fl::Client& client);
 
+  void start_run(fl::Fleet& fleet) override;
+  /// Runs the cycle hook, then draws the fleet's round roster.
+  std::vector<fl::Client*> roster(fl::Fleet& fleet, int cycle) override;
+  /// Each straggler's soft-training submodel for this cycle, with the
+  /// rotation-forced neurons (Sec. VI-A) folded in.
+  std::vector<ClientPlan> plan(std::span<fl::Client* const> roster,
+                               int cycle) override;
+  /// Contribution and rotation bookkeeping, aggregation (Eq. 10) and
+  /// first-cycles pace adaptation.
+  void close_round(fl::Fleet& fleet, Round& round) override;
+
   HeliosConfig config_;
   std::unordered_map<int, StragglerState> state_;
   std::function<void(fl::Fleet&, int)> cycle_hook_;
+  /// This round's rotation-forced neuron counts, in roster order.
+  std::vector<int> forced_;
 };
 
 }  // namespace helios::core

@@ -5,8 +5,7 @@
 #include <functional>
 #include <stdexcept>
 
-#include "fl/checkpoint.h"
-#include "fl/transport.h"
+#include "fl/round.h"
 #include "obs/telemetry.h"
 
 namespace helios::fl {
@@ -21,17 +20,19 @@ Afo::Afo(double alpha, double staleness_exponent)
   }
 }
 
-// Stays sequential by design (like AsyncFL's fully-async mode): each
-// completion event applies a staleness-discounted update to the evolving
-// global model before the next one starts, so there is never a batch of
-// independent cycles to hand to Fleet::parallel_train. Intra-op kernel
-// parallelism still applies inside each run_cycle.
+// The one event-driven completion loop (AsyncFL's fully-async mode runs it
+// with staleness exponent 0). Stays sequential by design: each completion
+// event applies a staleness-discounted update to the evolving global model
+// before the next one starts, so there is never a batch of independent
+// cycles to hand to Fleet::parallel_train. Intra-op kernel parallelism
+// still applies inside each run_cycle.
 void Afo::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
   if (fleet.size() == 0) throw std::logic_error("Afo: empty fleet");
 
-  // Same cohort gating as AsyncFL's fully-async mode: unselected clients
-  // park (hibernated) until a later recorded round samples them; the
-  // reference device always runs so recording progresses.
+  // Population sampling: the recorded-round index plays the cohort round.
+  // An unselected client parks (hibernated) instead of rescheduling and is
+  // re-examined whenever a round completes; the reference device always
+  // runs so recording progresses.
   const RosterSampler* sampler = fleet.sampler();
   auto start_client = [&](std::size_t i, double now) {
     Client& c = fleet.client(i);
@@ -75,6 +76,9 @@ void Afo::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
       start_client(i, fleet.clock().now());
     }
   } else if (begin != recorded_) {
+    // The engine's carried state encodes progress through `recorded_`
+    // rounds; a mismatched begin means the caller and the engine disagree
+    // about where the run stands.
     throw std::logic_error("Afo: run_range begin != engine progress");
   }
 
@@ -88,6 +92,8 @@ void Afo::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
     if (ev.time > fleet.clock().now()) fleet.clock().advance_to(ev.time);
     Client& client = fleet.client(static_cast<std::size_t>(ev.client_index));
     auto& fl = inflight_[static_cast<std::size_t>(ev.client_index)];
+    // The device finished *at* ev.time; backdate the sink so the Gantt slab
+    // covers the cycle it just spent training.
     if (tel) {
       tel->set_virtual_time(
           std::max(0.0, ev.time - client.estimate_cycle_seconds({})));
@@ -97,6 +103,8 @@ void Afo::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
     const bool is_reference = client.id() == reference_id_;
     bool accepted = true;
     if (session != nullptr) {
+      // ev.time already contains the analytic upload; the frame leaves the
+      // device when training ends.
       NetworkSession::SingleDelivery sd = session->deliver_update(
           update, fl.base, ev.time - update.upload_seconds);
       if (sd.delivered) {
@@ -105,9 +113,10 @@ void Afo::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
         }
         update = std::move(sd.update);
       } else {
-        accepted = false;
+        accepted = false;  // lost after retries or died mid-upload
       }
       if (sd.died && is_reference) {
+        // Re-anchor recording on a surviving device so the run completes.
         auto active = fleet.active_clients();
         auto cap = fleet.capable();
         if (!cap.empty()) {
@@ -133,16 +142,10 @@ void Afo::run_range(Fleet& fleet, RunResult& result, int begin, int end) {
     }
 
     if (is_reference && client.active()) {
-      result.rounds.push_back({recorded_, fleet.clock().now(),
-                               fleet.evaluate(),
-                               loss_count_ ? loss_acc_ / loss_count_ : 0.0,
-                               upload_acc_});
-      if (tel) {
-        const RoundRecord& r = result.rounds.back();
-        tel->record_cycle_result(result.method, recorded_, r.virtual_time,
-                                 r.test_accuracy, r.mean_train_loss,
-                                 r.upload_mb);
-      }
+      record_round(fleet, result,
+                   {recorded_, fleet.clock().now(), fleet.evaluate(),
+                    loss_count_ ? loss_acc_ / loss_count_ : 0.0,
+                    upload_acc_});
       ++recorded_;
       loss_acc_ = 0.0;
       upload_acc_ = 0.0;

@@ -6,6 +6,8 @@
 // (polynomial staleness function), and the device immediately restarts from
 // the fresh global model. Metrics are recorded once per completion of the
 // first capable device, aligning the cycle axis with the other strategies.
+// With staleness exponent 0 the weight is the fixed alpha: that is Asyn. FL's
+// fully asynchronous mode, which runs this engine.
 //
 // Engine state (event heap, in-flight snapshots, model version counter)
 // lives in members so a run can be checkpointed at any round boundary and

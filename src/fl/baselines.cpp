@@ -1,76 +1,33 @@
 #include "fl/baselines.h"
 
-#include <algorithm>
-
 #include "fl/submodel.h"
-#include "fl/transport.h"
-#include "obs/telemetry.h"
 
 namespace helios::fl {
-namespace {
 
-/// Shared synchronous loop over cycles [begin, end): `mask_for(client,
-/// cycle)` supplies each straggler's submodel mask (empty = full model).
-template <typename MaskFn>
-void run_sync_submodel(Fleet& fleet, RunResult& result, int begin, int end,
-                       MaskFn mask_for) {
-  AggOptions opts;  // sample weighting, no hetero weights for baselines
-  obs::TelemetrySink* tel = fleet.telemetry();
-  for (int cycle = begin; cycle < end; ++cycle) {
-    HELIOS_TRACE_SPAN("baseline.cycle", {{"cycle", cycle}});
-    if (tel) tel->set_cycle(cycle);
-    // Masks are drawn sequentially first (mask_for may consume per-client
-    // RNG state), then the independent training cycles fan out.
-    std::vector<Client*> roster = fleet.round_roster(cycle);
-    std::vector<std::vector<std::uint8_t>> masks;
-    masks.reserve(roster.size());
-    for (Client* client : roster) {
-      masks.push_back(mask_for(*client, cycle));
-    }
-    std::vector<ClientUpdate> updates = Fleet::parallel_train(
-        roster, [&](Client& client, std::size_t i) {
-          return client.run_cycle(fleet.server().global(),
-                                  fleet.server().global_buffers(), masks[i]);
-        });
-    double loss = 0.0;
-    for (const ClientUpdate& u : updates) loss += u.mean_loss;
-    NetDelivery net = deliver_round(fleet, updates, fleet.server().global());
-    fleet.clock().advance(net.round_seconds);
-    fleet.server().aggregate(net.aggregate_span(updates), opts);
-    result.rounds.push_back(
-        {cycle, fleet.clock().now(), fleet.evaluate(),
-         loss / static_cast<double>(std::max<std::size_t>(1, roster.size())),
-         net.upload_mb});
-    if (tel) {
-      const RoundRecord& r = result.rounds.back();
-      tel->record_cycle_result(result.method, cycle, r.virtual_time,
-                               r.test_accuracy, r.mean_train_loss,
-                               r.upload_mb);
-    }
+RandomSubmodel::RandomSubmodel(std::uint64_t seed)
+    : SyncRoundStrategy("baseline.cycle"), seed_(seed) {}
+
+void RandomSubmodel::start_run(Fleet& fleet) {
+  util::Rng rng(seed_);
+  client_rng_.clear();
+  for (auto& c : fleet.clients()) {
+    client_rng_.emplace(c->id(),
+                        rng.fork(static_cast<std::uint64_t>(c->id())));
   }
 }
 
-}  // namespace
-
-RandomSubmodel::RandomSubmodel(std::uint64_t seed) : seed_(seed) {}
-
-void RandomSubmodel::run_range(Fleet& fleet, RunResult& result, int begin,
-                               int end) {
-  if (begin == 0) {
-    util::Rng rng(seed_);
-    client_rng_.clear();
-    for (auto& c : fleet.clients()) {
-      client_rng_.emplace(c->id(),
-                          rng.fork(static_cast<std::uint64_t>(c->id())));
+std::vector<SyncRoundStrategy::ClientPlan> RandomSubmodel::plan(
+    std::span<Client* const> roster, int /*cycle*/) {
+  std::vector<ClientPlan> plans(roster.size());
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    Client& client = *roster[i];
+    if (client.is_straggler() && client.volume() < 1.0) {
+      plans[i].mask =
+          random_volume_mask(client.estimation_model(), client.volume(),
+                             client_rng_.at(client.id()));
     }
   }
-  run_sync_submodel(
-      fleet, result, begin, end,
-      [&](Client& client, int /*cycle*/) -> std::vector<std::uint8_t> {
-        if (!client.is_straggler() || client.volume() >= 1.0) return {};
-        return random_volume_mask(client.estimation_model(), client.volume(),
-                                  client_rng_.at(client.id()));
-      });
+  return plans;
 }
 
 void RandomSubmodel::save_state(const Fleet& fleet,
@@ -93,29 +50,30 @@ void RandomSubmodel::load_state(Fleet& fleet, CheckpointReader& r) {
   }
 }
 
-StaticPrune::StaticPrune(std::uint64_t seed) : seed_(seed) {}
+StaticPrune::StaticPrune(std::uint64_t seed)
+    : SyncRoundStrategy("baseline.cycle"), seed_(seed) {}
 
-void StaticPrune::run_range(Fleet& fleet, RunResult& result, int begin,
-                            int end) {
-  if (begin == 0) {
-    util::Rng rng(seed_);
-    // One fixed mask per straggler for the whole run.
-    fixed_.clear();
-    for (auto& c : fleet.clients()) {
-      if (c->is_straggler() && c->volume() < 1.0) {
-        util::Rng crng = rng.fork(static_cast<std::uint64_t>(c->id()));
-        fixed_.emplace(c->id(), random_volume_mask(c->estimation_model(),
-                                                   c->volume(), crng));
-      }
+void StaticPrune::start_run(Fleet& fleet) {
+  // One fixed mask per straggler for the whole run.
+  util::Rng rng(seed_);
+  fixed_.clear();
+  for (auto& c : fleet.clients()) {
+    if (c->is_straggler() && c->volume() < 1.0) {
+      util::Rng crng = rng.fork(static_cast<std::uint64_t>(c->id()));
+      fixed_.emplace(c->id(), random_volume_mask(c->estimation_model(),
+                                                 c->volume(), crng));
     }
   }
-  run_sync_submodel(
-      fleet, result, begin, end,
-      [&](Client& client, int /*cycle*/) -> std::vector<std::uint8_t> {
-        auto it = fixed_.find(client.id());
-        if (it == fixed_.end()) return {};
-        return it->second;
-      });
+}
+
+std::vector<SyncRoundStrategy::ClientPlan> StaticPrune::plan(
+    std::span<Client* const> roster, int /*cycle*/) {
+  std::vector<ClientPlan> plans(roster.size());
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    auto it = fixed_.find(roster[i]->id());
+    if (it != fixed_.end()) plans[i].mask = it->second;
+  }
+  return plans;
 }
 
 void StaticPrune::save_state(const Fleet& fleet, CheckpointWriter& w) const {

@@ -2,12 +2,20 @@
 // HELIOS_THREADS=1 and HELIOS_THREADS=4 must produce bit-identical results
 // — identical accuracy traces and identical final global parameters.
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/helios_strategy.h"
+#include "fl/afo.h"
+#include "fl/async.h"
+#include "fl/baselines.h"
+#include "fl/compression.h"
+#include "fl/fedprox.h"
 #include "fl/sync.h"
 #include "fl/transport.h"
 #include "test_support.h"
@@ -37,7 +45,7 @@ Snapshot run_with_threads(int threads, MakeStrategy make, int cycles,
   }
   auto strategy = make();
   Snapshot snap;
-  snap.result = strategy.run(fleet, cycles);
+  snap.result = strategy->run(fleet, cycles);
   snap.global.assign(fleet.server().global().begin(),
                      fleet.server().global().end());
   snap.buffers.assign(fleet.server().global_buffers().begin(),
@@ -68,28 +76,55 @@ void expect_identical(const Snapshot& a, const Snapshot& b) {
       << "final global buffers differ between thread counts";
 }
 
-TEST(DeterminismTest, HeliosBitIdenticalAcrossThreadCounts) {
+struct StrategyCase {
+  const char* name;
+  std::function<std::unique_ptr<fl::Strategy>()> make;
+};
+
+// Names each case in test listings (ctest shows the printed value).
+void PrintTo(const StrategyCase& c, std::ostream* os) { *os << c.name; }
+
+class ThreadDeterminismTest : public ::testing::TestWithParam<StrategyCase> {
+};
+
+TEST_P(ThreadDeterminismTest, BitIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
-  auto make = [] { return core::HeliosStrategy(core::HeliosConfig{}); };
-  const Snapshot seq = run_with_threads(1, make, 4);
-  const Snapshot par = run_with_threads(4, make, 4);
+  const Snapshot seq = run_with_threads(1, GetParam().make, 4);
+  const Snapshot par = run_with_threads(4, GetParam().make, 4);
   expect_identical(seq, par);
 }
 
-TEST(DeterminismTest, SyncFLBitIdenticalAcrossThreadCounts) {
-  ThreadGuard guard;
-  auto make = [] { return fl::SyncFL(); };
-  const Snapshot seq = run_with_threads(1, make, 4);
-  const Snapshot par = run_with_threads(4, make, 4);
-  expect_identical(seq, par);
-}
+// Every strategy: the synchronous ones fan their round's training out
+// across the pool; the event-driven ones still use intra-op kernel threads.
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, ThreadDeterminismTest,
+    ::testing::Values(
+        StrategyCase{"Helios",
+                     [] { return std::make_unique<core::HeliosStrategy>(); }},
+        StrategyCase{"SyncFL", [] { return std::make_unique<fl::SyncFL>(); }},
+        StrategyCase{"SyncFLPartial",
+                     [] { return std::make_unique<fl::SyncFL>(0.5); }},
+        StrategyCase{"FedProx",
+                     [] { return std::make_unique<fl::FedProx>(); }},
+        StrategyCase{"RandomSubmodel",
+                     [] { return std::make_unique<fl::RandomSubmodel>(); }},
+        StrategyCase{"StaticPrune",
+                     [] { return std::make_unique<fl::StaticPrune>(); }},
+        StrategyCase{"CompressedSyncFL",
+                     [] {
+                       return std::make_unique<fl::CompressedSyncFL>(0.25);
+                     }},
+        StrategyCase{"AsyncFLPeriod2",
+                     [] { return std::make_unique<fl::AsyncFL>(2); }},
+        StrategyCase{"AsyncFL", [] { return std::make_unique<fl::AsyncFL>(); }},
+        StrategyCase{"Afo", [] { return std::make_unique<fl::Afo>(); }}));
 
 // The default (ideal-channel) NetworkOptions must reproduce the no-network
 // results bit-for-bit — frames are encoded, checked and counted, but never
 // perturb timing, delivery, or arithmetic — at 1 and 4 threads alike.
 TEST(DeterminismTest, HeliosIdealNetworkBitIdenticalToNoNetwork) {
   ThreadGuard guard;
-  auto make = [] { return core::HeliosStrategy(core::HeliosConfig{}); };
+  auto make = [] { return std::make_unique<core::HeliosStrategy>(); };
   const Snapshot plain1 = run_with_threads(1, make, 4);
   const Snapshot net1 = run_with_threads(1, make, 4, /*ideal_network=*/true);
   expect_identical(plain1, net1);
@@ -99,7 +134,7 @@ TEST(DeterminismTest, HeliosIdealNetworkBitIdenticalToNoNetwork) {
 
 TEST(DeterminismTest, SyncFLIdealNetworkBitIdenticalToNoNetwork) {
   ThreadGuard guard;
-  auto make = [] { return fl::SyncFL(); };
+  auto make = [] { return std::make_unique<fl::SyncFL>(); };
   const Snapshot plain1 = run_with_threads(1, make, 4);
   const Snapshot net1 = run_with_threads(1, make, 4, /*ideal_network=*/true);
   expect_identical(plain1, net1);

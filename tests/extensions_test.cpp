@@ -123,6 +123,9 @@ TEST(Compression, CompressedSyncStillLearns) {
   Fleet fleet = make_fleet(o);
   CompressedSyncFL strategy(0.25);
   const RunResult res = strategy.run(fleet, 10);
+  EXPECT_EQ(res.method, "Syn. FL + top-25%");
+  // The percentage is rounded, not truncated: 0.29 * 100 is 28.999...
+  EXPECT_EQ(CompressedSyncFL(0.29).name(), "Syn. FL + top-29%");
   EXPECT_GT(res.final_accuracy(3), 0.40);
   // Communication shrinks roughly with the keep fraction versus full sync.
   Fleet full_fleet = make_fleet(o);
