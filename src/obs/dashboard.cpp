@@ -22,24 +22,62 @@ std::size_t StragglerDashboard::device_count() const {
   return devices_.size();
 }
 
-void StragglerDashboard::record_tier(std::string_view tier,
-                                     std::uint64_t frames_folded,
-                                     std::uint64_t bytes_forwarded,
-                                     int deadline_misses, int retransmits,
-                                     int lost_frames, double fold_seconds,
-                                     std::uint64_t raw_bytes) {
+void TierTotals::add(const event::Merge& e) {
+  ++merges;
+  frames_folded += static_cast<long long>(e.frames_folded);
+  bytes_forwarded += static_cast<long long>(e.bytes_forwarded);
+  raw_bytes += static_cast<long long>(e.raw_bytes);
+  deadline_misses += e.deadline_misses;
+  retransmits += e.retransmits;
+  lost_frames += e.lost_frames;
+  fold_seconds += e.fold_seconds;
+}
+
+void StragglerDashboard::apply(int device, const event::Train& e) {
+  update(device, [&](DeviceStats& d) {
+    if (d.name.empty()) d.name = std::string(e.profile);
+    d.straggler = e.straggler;
+    d.volume = e.volume;
+    ++d.cycles;
+    d.trained_neurons = e.trained_neurons;
+    d.neuron_total = e.neuron_total;
+    d.compute_seconds += e.train_seconds;
+    d.comm_seconds += e.upload_seconds;
+    d.upload_mb += e.upload_mb;
+    d.last_loss = e.mean_loss;
+  });
+}
+
+void StragglerDashboard::apply(int device, const event::Agg& e) {
+  update(device, [&](DeviceStats& d) {
+    d.r_n = e.r_n;
+    d.r_n_sum += e.r_n;
+    ++d.r_n_count;
+    d.alpha_n = e.alpha_share;
+  });
+}
+
+void StragglerDashboard::apply(int device, const event::Rot& e) {
+  update(device, [&](DeviceStats& d) {
+    d.forced_neurons += e.forced;
+    d.cs_hist = e.cs_hist;
+  });
+}
+
+void StragglerDashboard::apply(int device, const event::Xfer& e) {
+  update(device, [&](DeviceStats& d) { add_transfer(d, e); });
+}
+
+void StragglerDashboard::apply(int device, const event::Codec& e) {
+  update(device, [&](DeviceStats& d) {
+    d.bytes_saved += static_cast<long long>(e.raw_bytes) -
+                     static_cast<long long>(e.wire_bytes);
+  });
+}
+
+void StragglerDashboard::apply(int /*device*/, const event::Merge& e) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tiers_.find(tier);
-  if (it == tiers_.end()) it = tiers_.emplace(std::string(tier), TierTotals{}).first;
-  TierTotals& t = it->second;
-  ++t.merges;
-  t.frames_folded += static_cast<long long>(frames_folded);
-  t.bytes_forwarded += static_cast<long long>(bytes_forwarded);
-  t.raw_bytes += static_cast<long long>(raw_bytes);
-  t.deadline_misses += deadline_misses;
-  t.retransmits += retransmits;
-  t.lost_frames += lost_frames;
-  t.fold_seconds += fold_seconds;
+  tiers_[std::string(e.tier)].add(e);
 }
 
 TierTotals StragglerDashboard::tier(std::string_view tier) const {
@@ -169,14 +207,14 @@ void StragglerDashboard::render_summary(std::ostream& os) const {
              r.precision)});
   }
   table.print(os);
-  render_tiers(os);
+  render_tier_table(os, tiers_);
 }
 
-void StragglerDashboard::render_tiers(std::ostream& os) const {
-  if (tiers_.empty()) return;
+void render_tier_table(std::ostream& os, const TierMap& tiers) {
+  if (tiers.empty()) return;
   util::Table table({"tier", "merges", "frames folded", "fwd (MB)",
                      "raw (MB)", "tier misses", "retx", "lost", "fold (s)"});
-  for (const auto& [name, t] : tiers_) {
+  for (const auto& [name, t] : tiers) {
     table.add_row(
         {name, std::to_string(t.merges), std::to_string(t.frames_folded),
          util::Table::num(static_cast<double>(t.bytes_forwarded) / 1e6, 2),

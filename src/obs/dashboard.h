@@ -16,6 +16,8 @@
 #include <string>
 #include <string_view>
 
+#include "obs/event.h"
+
 namespace helios::obs {
 
 /// Accumulated per-tier aggregator-tree statistics (hierarchical
@@ -32,7 +34,17 @@ struct TierTotals {
   long long retransmits = 0;
   long long lost_frames = 0;
   double fold_seconds = 0.0;      // wall-clock folding/merging time
+
+  /// Folds one tier's round rollup into the totals.
+  void add(const event::Merge& e);
 };
+
+/// Tier totals by name — conveniently ordered edge < regional < root.
+using TierMap = std::map<std::string, TierTotals, std::less<>>;
+
+/// The per-tier table the dashboard's fleet summary and the journal
+/// summary both print (nothing when `tiers` is empty).
+void render_tier_table(std::ostream& os, const TierMap& tiers);
 
 /// Accumulated per-device run statistics. All times are virtual seconds.
 struct DeviceStats {
@@ -76,6 +88,18 @@ struct DeviceStats {
   }
 };
 
+/// Folds one transfer into a device's network totals: shared by the
+/// dashboard's DeviceStats and the journal summary's DeviceJournal.
+template <class Totals>
+void add_transfer(Totals& d, const event::Xfer& e) {
+  d.wire_bytes += static_cast<long long>(e.bytes_on_wire);
+  d.frames_sent += e.transmissions;
+  d.frames_lost += e.lost_frames;
+  d.retransmits += e.transmissions > 1 ? e.transmissions - 1 : 0;
+  if (!e.delivered) ++d.drops;
+  if (e.died) d.dead = true;
+}
+
 /// Thread-safe collection of DeviceStats keyed by device id.
 ///
 /// Small fleets render one row per device; populations larger than the
@@ -97,17 +121,24 @@ class StragglerDashboard {
     fn(d);
   }
 
+  /// The dashboard's reducer: folds one event (obs/event.h) into the
+  /// device's (or, for a merge, the tier's) totals. TelemetrySink calls it
+  /// live and replay_dashboard calls it on decoded journal lines, so the two
+  /// dashboards agree by construction. Events the dashboard does not track
+  /// are no-ops.
+  void apply(int device, const event::Train& e);
+  void apply(int device, const event::Agg& e);
+  void apply(int device, const event::Rot& e);
+  void apply(int device, const event::Xfer& e);
+  void apply(int device, const event::Codec& e);
+  void apply(int device, const event::Merge& e);
+  template <class Event>
+  void apply(int /*device*/, const Event& /*e*/) {}
+
   /// Copy of a device's stats (zero-valued default if never seen).
   DeviceStats device(int device_id) const;
   std::size_t device_count() const;
 
-  /// One aggregator-tree tier's round rollup (TelemetrySink forwards
-  /// helios.agg.* tier merges here). The fleet summary renders a per-tier
-  /// breakdown when any tier has reported.
-  void record_tier(std::string_view tier, std::uint64_t frames_folded,
-                   std::uint64_t bytes_forwarded, int deadline_misses,
-                   int retransmits, int lost_frames, double fold_seconds,
-                   std::uint64_t raw_bytes = 0);
   /// Copy of a tier's totals (zero-valued default if never seen).
   TierTotals tier(std::string_view tier) const;
 
@@ -128,12 +159,9 @@ class StragglerDashboard {
   void render_devices(std::ostream& os) const;  // callers hold mu_
   void render_summary(std::ostream& os) const;  // callers hold mu_
 
-  void render_tiers(std::ostream& os) const;     // callers hold mu_
-
   mutable std::mutex mu_;
   std::map<int, DeviceStats> devices_;  // ordered by device id
-  // Ordered by name — conveniently edge < regional < root.
-  std::map<std::string, TierTotals, std::less<>> tiers_;
+  TierMap tiers_;
   std::size_t summary_threshold_ = kDefaultSummaryThreshold;
 };
 

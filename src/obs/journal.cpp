@@ -5,81 +5,59 @@
 #include "obs/metrics.h"  // json_escape
 
 namespace helios::obs {
-namespace {
 
-/// %.17g: enough digits that strtod returns the exact same double, so a
-/// journal parse -> replay round trip accumulates bit-identical sums.
-void append_double(std::string& out, double v) {
+void RunJournal::Line::key(const char* k) {
+  text += ",\"";
+  text += k;
+  text += "\":";
+}
+
+void RunJournal::Line::operator()(const char* k, double v) {
+  // %.17g: enough digits that strtod returns the exact same double, so a
+  // journal parse -> replay round trip accumulates bit-identical sums.
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  key(k);
+  text += buf;
 }
 
-void append_field(std::string& out, const char* key, double v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  append_double(out, v);
+void RunJournal::Line::operator()(const char* k, long long v) {
+  key(k);
+  text += std::to_string(v);
 }
 
-void append_field(std::string& out, const char* key, long long v) {
-  out += ",\"";
-  out += key;
-  out += "\":";
-  out += std::to_string(v);
+void RunJournal::Line::operator()(const char* k, std::string_view v) {
+  key(k);
+  text += '"';
+  json_escape(text, v);
+  text += '"';
 }
 
-void append_field(std::string& out, const char* key, int v) {
-  append_field(out, key, static_cast<long long>(v));
+RunJournal::Line RunJournal::open_line(std::string_view type, const Stamp& s,
+                                       double wall_ms) {
+  Line line;
+  line.text.reserve(192);
+  line.text = "{\"v\":1,\"t\":\"";
+  line.text += type;
+  line.text += '"';
+  line("r", s.round);
+  line("dev", s.device);
+  line("vt", s.vt);
+  line("w", wall_ms);
+  return line;
 }
 
-void append_field(std::string& out, const char* key, std::size_t v) {
-  append_field(out, key, static_cast<long long>(v));
-}
-
-void append_string_field(std::string& out, const char* key,
-                         std::string_view v) {
-  out += ",\"";
-  out += key;
-  out += "\":\"";
-  // Profile names and strategy names are plain identifiers in practice, but
-  // escape anyway so the line stays parseable whatever they contain.
-  for (char c : v) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
+RunJournal::RunJournal(std::ostream* os,
+                       std::optional<std::uint64_t> resumed_events)
+    : os_(os), epoch_(std::chrono::steady_clock::now()) {
+  if (os_ == nullptr) return;
+  if (resumed_events) {
+    events_ = *resumed_events;
+    return;
   }
-  out += '"';
-}
-
-}  // namespace
-
-RunJournal::RunJournal(std::ostream* os)
-    : os_(os), epoch_(std::chrono::steady_clock::now()) {
-  if (os_ == nullptr) return;
-  std::string line;
-  line.reserve(64);
-  line = "{\"v\":1,\"t\":\"run_start\",\"r\":-1,\"dev\":-1,\"vt\":0,\"w\":0";
-  append_field(line, "schema", kSchemaVersion);
-  commit(line);
-}
-
-RunJournal::RunJournal(std::ostream* os, std::uint64_t resumed_events)
-    : os_(os), epoch_(std::chrono::steady_clock::now()) {
-  if (os_ == nullptr) return;
-  events_ = resumed_events;
+  Line line = open_line("run_start", Stamp{}, 0.0);
+  line("schema", kSchemaVersion);
+  commit(line.text);
 }
 
 RunJournal::~RunJournal() { close(); }
@@ -98,179 +76,17 @@ void RunJournal::commit(std::string& line) {
   ++events_;
 }
 
-namespace {
-
-/// Starts a line with the schema version, type and stamps. The journal's
-/// wall clock is passed in because only enabled paths may read clocks.
-std::string open_line(const char* type, const RunJournal::Stamp& s,
-                      double wall_ms) {
-  std::string line;
-  line.reserve(192);
-  line = "{\"v\":1,\"t\":\"";
-  line += type;
-  line += '"';
-  append_field(line, "r", s.round);
-  append_field(line, "dev", s.device);
-  append_field(line, "vt", s.vt);
-  append_field(line, "w", wall_ms);
-  return line;
-}
-
-}  // namespace
-
-void RunJournal::cohort(const Stamp& s, std::size_t population,
-                        std::size_t active, std::size_t sampled) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("cohort", s, wall_ms());
-  append_field(line, "pop", population);
-  append_field(line, "act", active);
-  append_field(line, "sam", sampled);
-  commit(line);
-}
-
-void RunJournal::skip(const Stamp& s, std::string_view why) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("skip", s, wall_ms());
-  append_string_field(line, "why", why);
-  commit(line);
-}
-
-void RunJournal::train(const Stamp& s, std::string_view profile,
-                       bool straggler, double volume, int mask_neurons,
-                       int neuron_total, double train_seconds,
-                       double upload_seconds, double upload_mb,
-                       double mean_loss) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("train", s, wall_ms());
-  append_string_field(line, "prof", profile);
-  append_field(line, "strag", straggler ? 1 : 0);
-  append_field(line, "vol", volume);
-  append_field(line, "mask", mask_neurons);
-  append_field(line, "tot", neuron_total);
-  append_field(line, "train_s", train_seconds);
-  append_field(line, "up_s", upload_seconds);
-  append_field(line, "up_mb", upload_mb);
-  append_field(line, "loss", mean_loss);
-  commit(line);
-}
-
-void RunJournal::transfer(const Stamp& s, std::size_t bytes_on_wire,
-                          int transmissions, int lost_frames, bool delivered,
-                          bool deadline_missed, bool died,
-                          double comm_seconds) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("xfer", s, wall_ms());
-  append_field(line, "bytes", bytes_on_wire);
-  append_field(line, "tx", transmissions);
-  append_field(line, "lost", lost_frames);
-  append_field(line, "ok", delivered ? 1 : 0);
-  append_field(line, "miss", deadline_missed ? 1 : 0);
-  append_field(line, "dead", died ? 1 : 0);
-  append_field(line, "comm_s", comm_seconds);
-  commit(line);
-}
-
-void RunJournal::codec(const Stamp& s, std::size_t bytes_in,
-                       std::size_t bytes_out, double residual_norm) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("codec", s, wall_ms());
-  append_field(line, "in", bytes_in);
-  append_field(line, "out", bytes_out);
-  append_field(line, "res", residual_norm);
-  commit(line);
-}
-
-void RunJournal::aggregation(const Stamp& s, double r_n, double alpha_share) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("agg", s, wall_ms());
-  append_field(line, "r_n", r_n);
-  append_field(line, "alpha", alpha_share);
-  commit(line);
-}
-
-void RunJournal::rotation(const Stamp& s, int forced, int cs0, int cs1,
-                          int cs2, int cs3) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("rot", s, wall_ms());
-  append_field(line, "forced", forced);
-  append_field(line, "cs0", cs0);
-  append_field(line, "cs1", cs1);
-  append_field(line, "cs2", cs2);
-  append_field(line, "cs3", cs3);
-  commit(line);
-}
-
-void RunJournal::network_round(const Stamp& s, std::size_t bytes_on_wire,
-                               int participants, int delivered,
-                               int lost_frames, int retransmits,
-                               int deadline_misses, int deaths,
-                               bool renormalized) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("net_round", s, wall_ms());
-  append_field(line, "bytes", bytes_on_wire);
-  append_field(line, "n", participants);
-  append_field(line, "okn", delivered);
-  append_field(line, "lost", lost_frames);
-  append_field(line, "retx", retransmits);
-  append_field(line, "miss", deadline_misses);
-  append_field(line, "dead", deaths);
-  append_field(line, "renorm", renormalized ? 1 : 0);
-  commit(line);
-}
-
-void RunJournal::tier_merge(const Stamp& s, std::string_view tier,
-                            std::uint64_t frames_folded,
-                            std::uint64_t bytes_forwarded, int deadline_misses,
-                            int retransmits, int lost_frames,
-                            double fold_seconds, std::uint64_t raw_bytes) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("merge", s, wall_ms());
-  append_string_field(line, "tier", tier);
-  append_field(line, "frames", static_cast<long long>(frames_folded));
-  append_field(line, "bytes", static_cast<long long>(bytes_forwarded));
-  append_field(line, "raw", static_cast<long long>(raw_bytes));
-  append_field(line, "miss", deadline_misses);
-  append_field(line, "retx", retransmits);
-  append_field(line, "lost", lost_frames);
-  append_field(line, "fold_s", fold_seconds);
-  commit(line);
-}
-
-void RunJournal::churn(const Stamp& s, int arrivals, int departures,
-                       std::size_t population) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("churn", s, wall_ms());
-  append_field(line, "in", arrivals);
-  append_field(line, "out", departures);
-  append_field(line, "pop", population);
-  commit(line);
-}
-
-void RunJournal::round_result(const Stamp& s, std::string_view strategy,
-                              double accuracy, double mean_loss,
-                              double upload_mb) {
-  if (os_ == nullptr) return;
-  std::string line = open_line("round", s, wall_ms());
-  append_string_field(line, "strat", strategy);
-  append_field(line, "acc", accuracy);
-  append_field(line, "loss", mean_loss);
-  append_field(line, "up_mb", upload_mb);
-  commit(line);
-}
-
 void RunJournal::close() {
   if (os_ == nullptr) return;
-  std::string line = open_line("run_end", Stamp{}, wall_ms());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return;
-    append_field(line, "events", static_cast<long long>(events_ + 1));
-    line += "}\n";
-    os_->write(line.data(), static_cast<std::streamsize>(line.size()));
-    os_->flush();
-    ++events_;
-    closed_ = true;
-  }
+  Line line = open_line("run_end", Stamp{}, wall_ms());
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return;
+  line("events", events_ + 1);
+  line.text += "}\n";
+  os_->write(line.text.data(), static_cast<std::streamsize>(line.text.size()));
+  os_->flush();
+  ++events_;
+  closed_ = true;
 }
 
 }  // namespace helios::obs

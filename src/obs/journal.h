@@ -8,34 +8,8 @@
 // keeps aggregates and the dashboard keeps per-device *totals*, the journal
 // keeps the individual events, so a finished run can be summarized, diffed
 // against another run, or replayed into the dashboard after the fact
-// (see obs/journal_reader.h and the `helios-journal` CLI).
-//
-// Line format (schema v1) — one flat JSON object per line, short keys:
-//   {"v":1,"t":"train","r":3,"dev":7,"vt":1.25,"w":18.4, ...fields...}
-//     v    schema version (on every line, so a file tail is self-describing)
-//     t    event type
-//     r    round / cycle id (-1 when not in a round)
-//     dev  device id (-1 for fleet-level events)
-//     vt   virtual-clock seconds at emission
-//     w    wall-clock milliseconds since the journal opened
-// Doubles are printed with %.17g, so a parse -> replay round trip is
-// bit-exact.
-//
-// Event types:
-//   run_start  run_end                   — journal lifecycle
-//   cohort     {pop, act, sam}           — round cohort draw
-//   skip       {why: "hollow" | "dead"}  — device not participating
-//   train      {prof, strag, vol, mask, tot, train_s, up_s, up_mb, loss}
-//   xfer       {bytes, tx, lost, ok, miss, dead, comm_s}
-//   agg        {r_n, alpha}              — aggregation weight actually used
-//   rot        {forced, cs0..cs3}        — rotation regulation snapshot
-//   net_round  {bytes, n, okn, lost, retx, miss, dead, renorm}
-//   merge      {tier, frames, bytes, miss, retx, lost, fold_s}
-//                                        — one aggregator-tree tier's round
-//                                          rollup (hierarchical runs only;
-//                                          old readers may skip the type)
-//   churn      {in, out, pop}
-//   round      {strat, acc, loss, up_mb} — cycle completed
+// (see obs/journal_reader.h and the `helios-journal` CLI). The event types
+// and the line format are defined in obs/event.h.
 //
 // Threading: writes are serialized by one mutex (journaling is for insight;
 // events are rare next to kernel work). Per-device causality is preserved —
@@ -48,11 +22,15 @@
 #pragma once
 
 #include <chrono>
-#include <cstddef>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <ostream>
+#include <string>
 #include <string_view>
+#include <type_traits>
+
+#include "obs/event.h"
 
 namespace helios::obs {
 
@@ -61,16 +39,16 @@ class RunJournal {
   static constexpr int kSchemaVersion = 1;
 
   /// Journals to `os` (not owned; must outlive the journal). A null stream
-  /// produces a disabled journal: every record call returns after one
-  /// branch. Writes the run_start line immediately when enabled.
-  explicit RunJournal(std::ostream* os);
-
-  /// Resume variant (checkpoint/resume): continues an existing journal whose
-  /// first `resumed_events` events are already on disk — no run_start line is
-  /// written and the event counter starts at `resumed_events`, so the
+  /// produces a disabled journal: every write returns after one branch.
+  /// Writes the run_start line immediately when enabled.
+  ///
+  /// With `resumed_events` (checkpoint/resume) it continues an existing
+  /// journal whose first `resumed_events` events are already on disk: no
+  /// run_start line is written and the event counter starts there, so the
   /// eventual run_end's count covers the whole run seamlessly, with no
   /// duplicated or missing events across the crash.
-  RunJournal(std::ostream* os, std::uint64_t resumed_events);
+  explicit RunJournal(std::ostream* os,
+                      std::optional<std::uint64_t> resumed_events = {});
   ~RunJournal();
 
   RunJournal(const RunJournal&) = delete;
@@ -87,49 +65,38 @@ class RunJournal {
     double vt = 0.0;
   };
 
-  // ---- Event records (no-ops when disabled) ----
-
-  void cohort(const Stamp& s, std::size_t population, std::size_t active,
-              std::size_t sampled);
-  /// A device sitting a round out: `why` is "hollow" (active but not
-  /// sampled, replica hibernated) or "dead" (deactivated).
-  void skip(const Stamp& s, std::string_view why);
-  void train(const Stamp& s, std::string_view profile, bool straggler,
-             double volume, int mask_neurons, int neuron_total,
-             double train_seconds, double upload_seconds, double upload_mb,
-             double mean_loss);
-  void transfer(const Stamp& s, std::size_t bytes_on_wire, int transmissions,
-                int lost_frames, bool delivered, bool deadline_missed,
-                bool died, double comm_seconds);
-  /// One quantized upload encode: fp32-dense equivalent bytes in, actual
-  /// wire bytes out, and the client's carried error-feedback residual norm.
-  void codec(const Stamp& s, std::size_t bytes_in, std::size_t bytes_out,
-             double residual_norm);
-  void aggregation(const Stamp& s, double r_n, double alpha_share);
-  void rotation(const Stamp& s, int forced, int cs0, int cs1, int cs2,
-                int cs3);
-  /// One synchronous round's network closure; `renormalized` marks a
-  /// partial round (fewer arrivals than participants, weights re-spread).
-  void network_round(const Stamp& s, std::size_t bytes_on_wire,
-                     int participants, int delivered, int lost_frames,
-                     int retransmits, int deadline_misses, int deaths,
-                     bool renormalized);
-  /// One aggregator-tree tier's rollup for the round (`tier` is "edge",
-  /// "regional" or "root"). Schema-compatible addition: readers that predate
-  /// it skip unknown event types.
-  void tier_merge(const Stamp& s, std::string_view tier,
-                  std::uint64_t frames_folded, std::uint64_t bytes_forwarded,
-                  int deadline_misses, int retransmits, int lost_frames,
-                  double fold_seconds, std::uint64_t raw_bytes = 0);
-  void churn(const Stamp& s, int arrivals, int departures,
-             std::size_t population);
-  void round_result(const Stamp& s, std::string_view strategy,
-                    double accuracy, double mean_loss, double upload_mb);
+  /// Appends one event line (obs/event.h); a no-op when disabled.
+  template <class Event>
+  void write(const Stamp& s, const Event& e) {
+    if (os_ == nullptr) return;
+    Line line = open_line(Event::kType, s, wall_ms());
+    Event::fields(e, line);
+    commit(line.text);
+  }
 
   /// Writes the run_end line (once); further events are dropped.
   void close();
 
  private:
+  /// Formats one line's fields: integers and flags as integers, doubles
+  /// with %.17g, strings JSON-escaped.
+  struct Line {
+    std::string text;
+    void key(const char* k);
+    void operator()(const char* k, double v);
+    void operator()(const char* k, long long v);
+    void operator()(const char* k, std::string_view v);
+    template <class T>
+      requires std::is_integral_v<T>
+    void operator()(const char* k, T v) {
+      (*this)(k, static_cast<long long>(v));
+    }
+  };
+
+  /// Starts a line with the schema version, type and stamps. The wall
+  /// clock is passed in because only enabled paths may read clocks.
+  static Line open_line(std::string_view type, const Stamp& s,
+                        double wall_ms);
   /// Appends one finished line under the lock and counts it.
   void commit(std::string& line);
   double wall_ms() const;

@@ -1,9 +1,10 @@
 #include "obs/journal_reader.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
+#include <limits>
 #include <span>
+#include <type_traits>
 
 #include "obs/journal.h"
 #include "obs/metrics.h"  // json_escape
@@ -11,6 +12,52 @@
 #include "util/table.h"
 
 namespace helios::obs {
+
+namespace {
+
+/// Reads JSON members into event fields: numbers into arithmetic fields
+/// (non-zero = true for flags; integers only when in range, so hostile
+/// values cannot overflow a cast), strings into views of the parsed line.
+/// Absent or wrong-typed members leave the field's default.
+struct FieldReader {
+  const util::JsonValue& obj;
+
+  void operator()(const char* key, std::string_view& v) const {
+    const util::JsonValue* m = obj.find(key);
+    if (m != nullptr && m->is_string()) v = m->as_string();
+  }
+  template <class T>
+  void operator()(const char* key, T& v) const {
+    const util::JsonValue* m = obj.find(key);
+    if (m == nullptr || !m->is_number()) return;
+    const double x = m->as_number();
+    if constexpr (std::is_same_v<T, bool>) {
+      v = x != 0.0;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      v = x;
+    } else {
+      const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+      if (x >= (std::is_signed_v<T> ? -hi : 0.0) && x < hi) {
+        v = static_cast<T>(x);
+      }
+    }
+  }
+};
+
+template <class... Event>
+std::optional<event::Any> decode_any(const JournalEvent& ev,
+                                     std::variant<Event...>* /*tag*/) {
+  std::optional<event::Any> out;
+  const auto read = [&]<class E>(E e) {
+    E::fields(e, FieldReader{ev.fields});
+    out = e;
+    return true;
+  };
+  ((ev.type == Event::kType && read(Event{})) || ...);
+  return out;
+}
+
+}  // namespace
 
 std::vector<JournalEvent> read_journal(std::istream& is) {
   std::vector<JournalEvent> events;
@@ -30,7 +77,9 @@ std::vector<JournalEvent> read_journal(std::istream& is) {
       throw std::runtime_error("journal line " + std::to_string(lineno) +
                                ": not an object");
     }
-    const int schema = static_cast<int>(v.number_or("v", 0));
+    const FieldReader read{v};
+    int schema = 0;
+    read("v", schema);
     if (schema != RunJournal::kSchemaVersion) {
       throw std::runtime_error("journal line " + std::to_string(lineno) +
                                ": unsupported schema v" +
@@ -38,97 +87,107 @@ std::vector<JournalEvent> read_journal(std::istream& is) {
     }
     JournalEvent ev;
     ev.type = v.string_or("t", "");
-    ev.round = static_cast<int>(v.number_or("r", -1));
-    ev.device = static_cast<int>(v.number_or("dev", -1));
-    ev.vt = v.number_or("vt", 0.0);
-    ev.wall_ms = v.number_or("w", 0.0);
+    read("r", ev.round);
+    read("dev", ev.device);
+    read("vt", ev.vt);
+    read("w", ev.wall_ms);
     ev.fields = std::move(v);
     events.push_back(std::move(ev));
   }
   return events;
 }
 
+std::optional<event::Any> decode(const JournalEvent& ev) {
+  return decode_any(ev, static_cast<event::Any*>(nullptr));
+}
+
+namespace {
+
+/// Folds one decoded event into a run summary.
+struct Summarizer {
+  JournalSummary& s;
+  const JournalEvent& ev;
+
+  DeviceJournal& device() {
+    DeviceJournal& d = s.devices[ev.device];
+    d.device = ev.device;
+    return d;
+  }
+
+  void operator()(const event::Train& e) {
+    DeviceJournal& d = device();
+    if (d.profile.empty()) d.profile = e.profile;
+    d.straggler = e.straggler;
+    ++d.trained_rounds;
+    if (d.first_volume < 0.0) d.first_volume = e.volume;
+    d.last_volume = e.volume;
+    d.compute_seconds += e.train_seconds;
+    d.comm_seconds += e.upload_seconds;
+  }
+  void operator()(const event::Skip& e) {
+    DeviceJournal& d = device();
+    if (e.why == "dead") {
+      ++d.skipped_dead;
+    } else {
+      ++d.skipped_hollow;
+    }
+  }
+  void operator()(const event::Agg& e) {
+    DeviceJournal& d = device();
+    d.r_n_sum += e.r_n;
+    ++d.r_n_count;
+  }
+  void operator()(const event::Xfer& e) {
+    DeviceJournal& d = device();
+    add_transfer(d, e);
+    if (e.deadline_missed) ++d.deadline_misses;
+    s.bytes_on_wire += static_cast<long long>(e.bytes_on_wire);
+    s.frames_sent += e.transmissions;
+    s.frames_lost += e.lost_frames;
+    s.retransmits += std::max(0, e.transmissions - 1);
+    if (!e.delivered) ++s.drops;
+    if (e.deadline_missed) ++s.deadline_misses;
+    if (e.died) ++s.deaths;
+  }
+  void operator()(const event::NetRound& e) {
+    if (e.renormalized) ++s.renormalized_rounds;
+  }
+  void operator()(const event::Merge& e) {
+    s.tiers[std::string(e.tier)].add(e);
+  }
+  void operator()(const event::Codec& e) {
+    DeviceJournal& d = device();
+    d.codec_raw_bytes += static_cast<long long>(e.raw_bytes);
+    d.codec_wire_bytes += static_cast<long long>(e.wire_bytes);
+    s.codec_raw_bytes += static_cast<long long>(e.raw_bytes);
+    s.codec_wire_bytes += static_cast<long long>(e.wire_bytes);
+  }
+  void operator()(const event::Churn& e) {
+    s.churn_arrivals += e.arrivals;
+    s.churn_departures += e.departures;
+  }
+  void operator()(const event::Round& e) {
+    s.rounds = std::max(s.rounds, ev.round + 1);
+    s.strategy = e.strategy;
+    s.final_accuracy = e.accuracy;
+    s.final_virtual_time = ev.vt;
+  }
+  template <class Event>
+  void operator()(const Event& /*e*/) {}
+};
+
+}  // namespace
+
 JournalSummary summarize_journal(const std::vector<JournalEvent>& events) {
   JournalSummary s;
   s.events = events.size();
   for (const JournalEvent& ev : events) {
-    const util::JsonValue& f = ev.fields;
-    s.schema = std::max(s.schema, static_cast<int>(f.number_or("v", 0)));
+    int schema = 0;
+    FieldReader{ev.fields}("v", schema);
+    s.schema = std::max(s.schema, schema);
     s.wall_seconds = std::max(s.wall_seconds, ev.wall_ms / 1e3);
-    if (ev.type == "train") {
-      DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      if (d.profile.empty()) d.profile = f.string_or("prof", "");
-      d.straggler = f.number_or("strag", 0) != 0;
-      ++d.trained_rounds;
-      const double vol = f.number_or("vol", 1.0);
-      if (d.first_volume < 0.0) d.first_volume = vol;
-      d.last_volume = vol;
-      d.compute_seconds += f.number_or("train_s", 0.0);
-      d.comm_seconds += f.number_or("up_s", 0.0);
-    } else if (ev.type == "skip") {
-      DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      if (f.string_or("why", "") == "dead") {
-        ++d.skipped_dead;
-      } else {
-        ++d.skipped_hollow;
-      }
-    } else if (ev.type == "agg") {
-      DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      d.r_n_sum += f.number_or("r_n", 0.0);
-      ++d.r_n_count;
-    } else if (ev.type == "xfer") {
-      DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      const auto bytes = static_cast<long long>(f.number_or("bytes", 0.0));
-      const int tx = static_cast<int>(f.number_or("tx", 0.0));
-      d.wire_bytes += bytes;
-      d.frames_sent += tx;
-      d.frames_lost += static_cast<int>(f.number_or("lost", 0.0));
-      d.retransmits += std::max(0, tx - 1);
-      if (f.number_or("ok", 1.0) == 0.0) ++d.drops;
-      if (f.number_or("miss", 0.0) != 0.0) ++d.deadline_misses;
-      if (f.number_or("dead", 0.0) != 0.0) d.dead = true;
-      s.bytes_on_wire += bytes;
-      s.frames_sent += tx;
-      s.frames_lost += static_cast<int>(f.number_or("lost", 0.0));
-      s.retransmits += std::max(0, tx - 1);
-      if (f.number_or("ok", 1.0) == 0.0) ++s.drops;
-      if (f.number_or("miss", 0.0) != 0.0) ++s.deadline_misses;
-      if (f.number_or("dead", 0.0) != 0.0) ++s.deaths;
-    } else if (ev.type == "net_round") {
-      if (f.number_or("renorm", 0.0) != 0.0) ++s.renormalized_rounds;
-    } else if (ev.type == "merge") {
-      TierTotals& t = s.tiers[f.string_or("tier", "?")];
-      ++t.merges;
-      t.frames_folded += static_cast<long long>(f.number_or("frames", 0.0));
-      t.bytes_forwarded += static_cast<long long>(f.number_or("bytes", 0.0));
-      t.raw_bytes += static_cast<long long>(f.number_or("raw", 0.0));
-      t.deadline_misses += static_cast<int>(f.number_or("miss", 0.0));
-      t.retransmits += static_cast<int>(f.number_or("retx", 0.0));
-      t.lost_frames += static_cast<int>(f.number_or("lost", 0.0));
-      t.fold_seconds += f.number_or("fold_s", 0.0);
-    } else if (ev.type == "codec") {
-      DeviceJournal& d = s.devices[ev.device];
-      d.device = ev.device;
-      const auto in = static_cast<long long>(f.number_or("in", 0.0));
-      const auto out = static_cast<long long>(f.number_or("out", 0.0));
-      d.codec_raw_bytes += in;
-      d.codec_wire_bytes += out;
-      s.codec_raw_bytes += in;
-      s.codec_wire_bytes += out;
-    } else if (ev.type == "churn") {
-      s.churn_arrivals += static_cast<int>(f.number_or("in", 0.0));
-      s.churn_departures += static_cast<int>(f.number_or("out", 0.0));
-    } else if (ev.type == "round") {
-      s.rounds = std::max(s.rounds, ev.round + 1);
-      s.strategy = f.string_or("strat", s.strategy);
-      s.final_accuracy = f.number_or("acc", s.final_accuracy);
-      s.final_virtual_time = ev.vt;
-    }
-    // Unknown types (newer writers) are intentionally ignored.
+    // Unknown types (newer writers) decode to nothing and are ignored.
+    if (const auto e = decode(ev)) std::visit(Summarizer{s, ev}, *e);
   }
   return s;
 }
@@ -186,21 +245,7 @@ void write_summary(std::ostream& os, const JournalSummary& s) {
   }
   if (!s.tiers.empty()) {
     os << "hierarchy:\n";
-    util::Table tiers({"tier", "merges", "frames folded", "fwd (MB)",
-                       "raw (MB)", "tier misses", "retx", "lost", "fold (s)"});
-    for (const auto& [name, t] : s.tiers) {
-      tiers.add_row({name, std::to_string(t.merges),
-                     std::to_string(t.frames_folded),
-                     util::Table::num(
-                         static_cast<double>(t.bytes_forwarded) / 1e6, 2),
-                     util::Table::num(
-                         static_cast<double>(t.raw_bytes) / 1e6, 2),
-                     std::to_string(t.deadline_misses),
-                     std::to_string(t.retransmits),
-                     std::to_string(t.lost_frames),
-                     util::Table::num(t.fold_seconds, 3)});
-    }
-    tiers.print(os);
+    render_tier_table(os, s.tiers);
   }
 
   std::vector<double> trained, skipped, drift, r_n;
@@ -301,68 +346,8 @@ void write_summary_json(std::ostream& os, const JournalSummary& s) {
 void replay_dashboard(const std::vector<JournalEvent>& events,
                       StragglerDashboard& dash) {
   for (const JournalEvent& ev : events) {
-    const util::JsonValue& f = ev.fields;
-    if (ev.type == "train") {
-      // Mirrors TelemetrySink::record_client_cycle's dashboard update.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        if (d.name.empty()) d.name = f.string_or("prof", "");
-        d.straggler = f.number_or("strag", 0.0) != 0.0;
-        d.volume = f.number_or("vol", 1.0);
-        ++d.cycles;
-        d.trained_neurons = static_cast<int>(f.number_or("mask", 0.0));
-        d.neuron_total = static_cast<int>(f.number_or("tot", 0.0));
-        d.compute_seconds += f.number_or("train_s", 0.0);
-        d.comm_seconds += f.number_or("up_s", 0.0);
-        d.upload_mb += f.number_or("up_mb", 0.0);
-        d.last_loss = f.number_or("loss", 0.0);
-      });
-    } else if (ev.type == "agg") {
-      // Mirrors record_aggregation_weight.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        d.r_n = f.number_or("r_n", 1.0);
-        d.r_n_sum += f.number_or("r_n", 1.0);
-        ++d.r_n_count;
-        d.alpha_n = f.number_or("alpha", 0.0);
-      });
-    } else if (ev.type == "rot") {
-      // Mirrors record_rotation.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        d.forced_neurons += static_cast<long long>(f.number_or("forced", 0.0));
-        d.cs_hist = std::array<int, 4>{
-            static_cast<int>(f.number_or("cs0", 0.0)),
-            static_cast<int>(f.number_or("cs1", 0.0)),
-            static_cast<int>(f.number_or("cs2", 0.0)),
-            static_cast<int>(f.number_or("cs3", 0.0))};
-      });
-    } else if (ev.type == "merge") {
-      // Mirrors record_tier_merge: one dashboard tier update per merge
-      // event, so replayed tier totals match the live dashboard's.
-      dash.record_tier(
-          f.string_or("tier", "?"),
-          static_cast<std::uint64_t>(f.number_or("frames", 0.0)),
-          static_cast<std::uint64_t>(f.number_or("bytes", 0.0)),
-          static_cast<int>(f.number_or("miss", 0.0)),
-          static_cast<int>(f.number_or("retx", 0.0)),
-          static_cast<int>(f.number_or("lost", 0.0)),
-          f.number_or("fold_s", 0.0),
-          static_cast<std::uint64_t>(f.number_or("raw", 0.0)));
-    } else if (ev.type == "codec") {
-      // Mirrors record_codec's dashboard update.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        d.bytes_saved += static_cast<long long>(f.number_or("in", 0.0)) -
-                         static_cast<long long>(f.number_or("out", 0.0));
-      });
-    } else if (ev.type == "xfer") {
-      // Mirrors record_device_transfer.
-      dash.update(ev.device, [&](DeviceStats& d) {
-        const int tx = static_cast<int>(f.number_or("tx", 0.0));
-        d.wire_bytes += static_cast<long long>(f.number_or("bytes", 0.0));
-        d.frames_sent += tx;
-        d.frames_lost += static_cast<int>(f.number_or("lost", 0.0));
-        d.retransmits += std::max(0, tx - 1);
-        if (f.number_or("ok", 1.0) == 0.0) ++d.drops;
-        if (f.number_or("dead", 0.0) != 0.0) d.dead = true;
-      });
+    if (const auto e = decode(ev)) {
+      std::visit([&](const auto& x) { dash.apply(ev.device, x); }, *e);
     }
   }
 }

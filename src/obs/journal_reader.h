@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <istream>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
 
 #include "obs/dashboard.h"
+#include "obs/event.h"
 #include "util/json.h"
 
 namespace helios::obs {
@@ -36,6 +38,12 @@ struct JournalEvent {
 /// Unknown event types are preserved — summaries simply ignore them — so
 /// old readers tolerate newer writers.
 std::vector<JournalEvent> read_journal(std::istream& is);
+
+/// The typed event (obs/event.h) a parsed line carries, or nothing for
+/// lifecycle lines and unknown types. Absent or out-of-range fields keep
+/// their defaults; string fields view into `ev`, which must outlive the
+/// result.
+std::optional<event::Any> decode(const JournalEvent& ev);
 
 /// Per-device aggregates a summary reports (a superset of what the
 /// dashboard keeps, plus participation bookkeeping).
@@ -99,7 +107,7 @@ struct JournalSummary {
   /// Per-tier rollups from "merge" events (hierarchical aggregation runs
   /// only; empty for flat runs). Keyed by tier name ("edge" < "regional" <
   /// "root"), same shape as the live dashboard's TierTotals.
-  std::map<std::string, TierTotals> tiers;
+  TierMap tiers;
 };
 
 JournalSummary summarize_journal(const std::vector<JournalEvent>& events);
@@ -110,10 +118,11 @@ void write_summary(std::ostream& os, const JournalSummary& s);
 /// Machine-readable equivalent.
 void write_summary_json(std::ostream& os, const JournalSummary& s);
 
-/// Replays a journal into a dashboard by applying each event exactly as the
-/// live TelemetrySink recorders would have: rendering the result matches
-/// the live run's dashboard output byte-for-byte. Fills `dash` in place
-/// (the dashboard owns a mutex, so it cannot be returned by value).
+/// Replays a journal into a dashboard: decodes each line and feeds it to
+/// StragglerDashboard::apply, the reducer the live TelemetrySink uses, so
+/// rendering the result matches the live run's dashboard output
+/// byte-for-byte. Fills `dash` in place (the dashboard owns a mutex, so it
+/// cannot be returned by value).
 void replay_dashboard(const std::vector<JournalEvent>& events,
                       StragglerDashboard& dash);
 

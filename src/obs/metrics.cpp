@@ -41,15 +41,12 @@ MetricsRegistry::Series& MetricsRegistry::find_or_create(
     const HistogramOptions* opts) {
   std::sort(labels.begin(), labels.end());
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& s : series_) {
-    if (s->name == name && s->labels == labels) {
-      if (s->kind != kind) {
-        throw std::logic_error("MetricsRegistry: series '" +
-                               std::string(name) +
-                               "' already registered with another type");
-      }
-      return *s;
+  if (const auto it = index_.find(Key{name, &labels}); it != index_.end()) {
+    if (it->second->kind != kind) {
+      throw std::logic_error("MetricsRegistry: series '" + std::string(name) +
+                             "' already registered with another type");
     }
+    return *it->second;
   }
   auto s = std::make_unique<Series>();
   s->name = std::string(name);
@@ -63,6 +60,7 @@ MetricsRegistry::Series& MetricsRegistry::find_or_create(
                                                       : HistogramOptions{});
       break;
   }
+  index_.emplace(Key{s->name, &s->labels}, s.get());
   series_.push_back(std::move(s));
   return *series_.back();
 }
@@ -87,24 +85,31 @@ std::size_t MetricsRegistry::series_count() const {
   return series_.size();
 }
 
-void json_escape(std::ostream& os, std::string_view s) {
+void json_escape(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
+          out += buf;
         } else {
-          os << c;
+          out += c;
         }
     }
   }
+}
+
+void json_escape(std::ostream& os, std::string_view s) {
+  thread_local std::string out;
+  out.clear();
+  json_escape(out, s);
+  os << out;
 }
 
 namespace {

@@ -15,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -124,14 +125,26 @@ class MetricsRegistry {
     std::unique_ptr<Histogram> histogram;
   };
 
+  /// Index key viewing a series' own name and sorted labels.
+  struct Key {
+    std::string_view name;
+    const LabelSet* labels;
+    bool operator<(const Key& o) const {
+      return name != o.name ? name < o.name : *labels < *o.labels;
+    }
+  };
+
   Series& find_or_create(std::string_view name, LabelSet&& labels, Kind kind,
                          const HistogramOptions* opts);
 
   mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Series>> series_;
+  std::vector<std::unique_ptr<Series>> series_;  // creation (export) order
+  std::map<Key, Series*> index_;
 };
 
-/// JSON string escaping shared by the exporters and the trace writer.
+/// JSON string escaping shared by the exporters, the trace writer and the
+/// run journal: appends the escaped `s` to `out`.
+void json_escape(std::string& out, std::string_view s);
 void json_escape(std::ostream& os, std::string_view s);
 
 }  // namespace helios::obs

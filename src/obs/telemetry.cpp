@@ -1,6 +1,5 @@
 #include "obs/telemetry.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -37,6 +36,7 @@ TelemetrySink::TelemetrySink(TelemetryConfig config)
     tracer_->name_process(2, "helios (virtual time)");
   }
   if (config_.journal) {
+    std::ostream* os = &journal_buffer_;
     if (!config_.artifact_prefix.empty()) {
       const std::string path = config_.artifact_prefix + ".journal.jsonl";
       if (config_.journal_resume) {
@@ -59,18 +59,15 @@ TelemetrySink::TelemetrySink(TelemetryConfig config)
           // start a fresh file but keep the resumed event counter.
           journal_file_ = std::make_unique<std::ofstream>(path);
         }
-        journal_ = std::make_unique<RunJournal>(
-            journal_file_.get(), config_.journal_resume_events);
       } else {
         journal_file_ = std::make_unique<std::ofstream>(path);
-        journal_ = std::make_unique<RunJournal>(journal_file_.get());
       }
-    } else if (config_.journal_resume) {
-      journal_ = std::make_unique<RunJournal>(
-          &journal_buffer_, config_.journal_resume_events);
-    } else {
-      journal_ = std::make_unique<RunJournal>(&journal_buffer_);
+      os = journal_file_.get();
     }
+    journal_ = std::make_unique<RunJournal>(
+        os, config_.journal_resume
+                ? std::optional<std::uint64_t>(config_.journal_resume_events)
+                : std::nullopt);
   }
 }
 
@@ -122,24 +119,10 @@ void TelemetrySink::record_client_cycle(
   metrics_.gauge("helios.client.volume", labels).set(volume);
   metrics_.gauge("helios.client.mean_loss", labels).set(mean_loss);
 
-  dashboard_.update(device, [&](DeviceStats& d) {
-    if (d.name.empty()) d.name = std::string(profile_name);
-    d.straggler = straggler;
-    d.volume = volume;
-    ++d.cycles;
-    d.trained_neurons = trained_neurons;
-    d.neuron_total = neuron_total;
-    d.compute_seconds += train_seconds;
-    d.comm_seconds += upload_seconds;
-    d.upload_mb += upload_mb;
-    d.last_loss = mean_loss;
-  });
-
-  if (journal_) {
-    journal_->train(journal_stamp(device), profile_name, straggler, volume,
-                    trained_neurons, neuron_total, train_seconds,
-                    upload_seconds, upload_mb, mean_loss);
-  }
+  publish(journal_stamp(device),
+          event::Train{profile_name, straggler, volume, trained_neurons,
+                       neuron_total, train_seconds, upload_seconds, upload_mb,
+                       mean_loss});
 
   // Virtual-time Gantt: one "train" + one "upload" slab per cycle on the
   // device's track, starting at the sink's current virtual time (set by the
@@ -162,15 +145,7 @@ void TelemetrySink::record_aggregation_weight(int device, double r_n,
   const LabelSet labels{{"device", device_label(device)}};
   metrics_.gauge("helios.server.r_n", labels).set(r_n);
   metrics_.gauge("helios.server.alpha_share", labels).set(alpha_share);
-  dashboard_.update(device, [&](DeviceStats& d) {
-    d.r_n = r_n;
-    d.r_n_sum += r_n;
-    ++d.r_n_count;
-    d.alpha_n = alpha_share;
-  });
-  if (journal_) {
-    journal_->aggregation(journal_stamp(device), r_n, alpha_share);
-  }
+  publish(journal_stamp(device), event::Agg{r_n, alpha_share});
 }
 
 void TelemetrySink::record_rotation(int device, int forced_count,
@@ -183,14 +158,7 @@ void TelemetrySink::record_rotation(int device, int forced_count,
   metrics_.histogram("helios.rotation.skipped_cycles", labels,
                      HistogramOptions{1.0, 2.0, 6})
       .observe(static_cast<double>(cs_hist[1] + cs_hist[2] + cs_hist[3]));
-  dashboard_.update(device, [&](DeviceStats& d) {
-    d.forced_neurons += forced_count;
-    d.cs_hist = cs_hist;
-  });
-  if (journal_) {
-    journal_->rotation(journal_stamp(device), forced_count, cs_hist[0],
-                       cs_hist[1], cs_hist[2], cs_hist[3]);
-  }
+  publish(journal_stamp(device), event::Rot{forced_count, cs_hist});
 }
 
 void TelemetrySink::record_cycle_result(std::string_view strategy, int cycle,
@@ -209,10 +177,8 @@ void TelemetrySink::record_cycle_result(std::string_view strategy, int cycle,
                       {"accuracy", accuracy},
                       {"strategy", strategy}});
   }
-  if (journal_) {
-    journal_->round_result(RunJournal::Stamp{cycle, -1, virtual_time},
-                           strategy, accuracy, mean_loss, upload_mb);
-  }
+  publish(RunJournal::Stamp{cycle, -1, virtual_time},
+          event::Round{strategy, accuracy, mean_loss, upload_mb});
 }
 
 void TelemetrySink::record_device_transfer(int device,
@@ -234,20 +200,9 @@ void TelemetrySink::record_device_transfer(int device,
   if (died) metrics_.counter("helios.net.device_deaths_total", labels).add(1.0);
   metrics_.histogram("helios.net.comm_seconds", labels).observe(comm_seconds);
 
-  dashboard_.update(device, [&](DeviceStats& d) {
-    d.wire_bytes += static_cast<long long>(bytes_on_wire);
-    d.frames_sent += transmissions;
-    d.frames_lost += lost_frames;
-    d.retransmits += std::max(0, transmissions - 1);
-    if (!delivered) ++d.drops;
-    if (died) d.dead = true;
-  });
-
-  if (journal_) {
-    journal_->transfer(journal_stamp(device), bytes_on_wire, transmissions,
-                       lost_frames, delivered, deadline_missed, died,
-                       comm_seconds);
-  }
+  publish(journal_stamp(device),
+          event::Xfer{bytes_on_wire, transmissions, lost_frames, delivered,
+                      deadline_missed, died, comm_seconds});
 
   if (tracer_ && died) {
     tracer_->instant("device.death", {{"device", device}});
@@ -271,14 +226,12 @@ void TelemetrySink::record_network_round(std::size_t bytes_on_wire,
   metrics_.counter("helios.net.deadline_missed_total")
       .add(static_cast<double>(deadline_misses));
   metrics_.counter("helios.net.deaths_total").add(static_cast<double>(deaths));
-  if (journal_) {
-    // A partial round (fewer arrivals than participants) makes the server
-    // renormalize the aggregation weights over what actually arrived.
-    journal_->network_round(journal_stamp(-1), bytes_on_wire, participants,
-                            delivered, lost_frames, retransmits,
-                            deadline_misses, deaths,
-                            /*renormalized=*/delivered < participants);
-  }
+  // A partial round (fewer arrivals than participants) makes the server
+  // renormalize the aggregation weights over what actually arrived.
+  publish(journal_stamp(-1),
+          event::NetRound{bytes_on_wire, participants, delivered, lost_frames,
+                          retransmits, deadline_misses, deaths,
+                          /*renormalized=*/delivered < participants});
 }
 
 void TelemetrySink::record_codec(int device, std::size_t raw_bytes,
@@ -296,15 +249,8 @@ void TelemetrySink::record_codec(int device, std::size_t raw_bytes,
   }
   metrics_.gauge("helios.codec.residual_norm", labels).set(residual_norm);
 
-  dashboard_.update(device, [&](DeviceStats& d) {
-    d.bytes_saved += static_cast<long long>(raw_bytes) -
-                     static_cast<long long>(wire_bytes);
-  });
-
-  if (journal_) {
-    journal_->codec(journal_stamp(device), raw_bytes, wire_bytes,
-                    residual_norm);
-  }
+  publish(journal_stamp(device),
+          event::Codec{raw_bytes, wire_bytes, residual_norm});
 }
 
 void TelemetrySink::record_tier_merge(std::string_view tier,
@@ -336,15 +282,10 @@ void TelemetrySink::record_tier_merge(std::string_view tier,
   }
   metrics_.histogram("helios.agg.fold_seconds", labels).observe(fold_seconds);
 
-  dashboard_.record_tier(tier, frames_folded, bytes_forwarded,
-                         deadline_misses, retransmits, lost_frames,
-                         fold_seconds, raw_bytes);
-
-  if (journal_) {
-    journal_->tier_merge(journal_stamp(-1), tier, frames_folded,
-                         bytes_forwarded, deadline_misses, retransmits,
-                         lost_frames, fold_seconds, raw_bytes);
-  }
+  publish(journal_stamp(-1),
+          event::Merge{tier, frames_folded, bytes_forwarded, raw_bytes,
+                       deadline_misses, retransmits, lost_frames,
+                       fold_seconds});
 }
 
 void TelemetrySink::record_cohort(int round, std::size_t population,
@@ -361,10 +302,8 @@ void TelemetrySink::record_cohort(int round, std::size_t population,
                                     {"sampled", static_cast<int>(sampled)},
                                     {"active", static_cast<int>(active)}});
   }
-  if (journal_) {
-    journal_->cohort(RunJournal::Stamp{round, -1, virtual_time()}, population,
-                     active, sampled);
-  }
+  publish(RunJournal::Stamp{round, -1, virtual_time()},
+          event::Cohort{population, active, sampled});
 }
 
 void TelemetrySink::record_churn(int round, int arrivals, int departures,
@@ -378,25 +317,22 @@ void TelemetrySink::record_churn(int round, int arrivals, int departures,
     metrics_.counter("helios.sim.departures_total")
         .add(static_cast<double>(departures));
   }
-  if (tracer_ && (arrivals > 0 || departures > 0)) {
+  if (arrivals <= 0 && departures <= 0) return;
+  if (tracer_) {
     tracer_->instant("sim.churn", {{"round", round},
                                    {"arrivals", arrivals},
                                    {"departures", departures}});
   }
-  if (journal_ && (arrivals > 0 || departures > 0)) {
-    journal_->churn(RunJournal::Stamp{round, -1, virtual_time()}, arrivals,
-                    departures, population);
-  }
+  publish(RunJournal::Stamp{round, -1, virtual_time()},
+          event::Churn{arrivals, departures, population});
 }
 
 void TelemetrySink::record_device_skipped(int round, int device, bool dead) {
   metrics_.counter("helios.sim.skipped_total",
                    {{"reason", dead ? "dead" : "hollow"}})
       .add(1.0);
-  if (journal_) {
-    journal_->skip(RunJournal::Stamp{round, device, virtual_time()},
-                   dead ? "dead" : "hollow");
-  }
+  publish(RunJournal::Stamp{round, device, virtual_time()},
+          event::Skip{dead ? "dead" : "hollow"});
 }
 
 void TelemetrySink::record_kernel_backend(std::string_view name) {

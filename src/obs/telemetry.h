@@ -217,10 +217,18 @@ class TelemetrySink {
 
  private:
   /// Stamps shared by every journal event: current cycle as the round id
-  /// plus the virtual clock. The journal is only consulted when non-null.
+  /// plus the virtual clock.
   RunJournal::Stamp journal_stamp(int device) const {
     return RunJournal::Stamp{cycle_.load(std::memory_order_relaxed), device,
                              virtual_time()};
+  }
+
+  /// Hands one event to its two consumers: the dashboard reducer and,
+  /// when enabled, the journal.
+  template <class Event>
+  void publish(const RunJournal::Stamp& s, const Event& e) {
+    dashboard_.apply(s.device, e);
+    if (journal_) journal_->write(s, e);
   }
 
   TelemetryConfig config_;

@@ -139,9 +139,11 @@ TEST(StreamingAccumulatorTest, MergeFrameRoundTripIsBitExact) {
   EXPECT_EQ(std::memcmp(back.den().data(), acc.den().data(),
                         acc.den().size() * sizeof(double)),
             0);
-  EXPECT_EQ(std::memcmp(back.buffer_acc().data(), acc.buffer_acc().data(),
-                        acc.buffer_acc().size() * sizeof(double)),
-            0);
+  if (!acc.buffer_acc().empty()) {  // memcmp needs non-null pointers
+    EXPECT_EQ(std::memcmp(back.buffer_acc().data(), acc.buffer_acc().data(),
+                          acc.buffer_acc().size() * sizeof(double)),
+              0);
+  }
   EXPECT_EQ(back.buffer_den(), acc.buffer_den());
 }
 
@@ -189,7 +191,9 @@ TEST(StreamingAccumulatorTest, MergeIntoEmptyParentIsBitIdenticalToFold) {
   direct.finalize(g1, b1);
   root.finalize(g2, b2);
   EXPECT_EQ(std::memcmp(g1.data(), g2.data(), g1.size() * sizeof(float)), 0);
-  EXPECT_EQ(std::memcmp(b1.data(), b2.data(), b1.size() * sizeof(float)), 0);
+  if (!b1.empty()) {  // memcmp needs non-null pointers
+    EXPECT_EQ(std::memcmp(b1.data(), b2.data(), b1.size() * sizeof(float)), 0);
+  }
   EXPECT_EQ(root.folded(), 2U);
 }
 
@@ -252,8 +256,11 @@ TEST(StreamingAccumulatorTest, DroppedChildRenormalizesExactly) {
   survivor.finalize(want, wbuf);
   EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
             0);
-  EXPECT_EQ(
-      std::memcmp(gbuf.data(), wbuf.data(), gbuf.size() * sizeof(float)), 0);
+  if (!gbuf.empty()) {  // memcmp needs non-null pointers
+    EXPECT_EQ(
+        std::memcmp(gbuf.data(), wbuf.data(), gbuf.size() * sizeof(float)),
+        0);
+  }
 }
 
 // Indices nothing was allowed to write keep their previous values.
@@ -302,10 +309,12 @@ void expect_identical(const Snapshot& a, const Snapshot& b,
             0)
       << context << ": final global parameters differ";
   ASSERT_EQ(a.buffers.size(), b.buffers.size()) << context;
-  EXPECT_EQ(std::memcmp(a.buffers.data(), b.buffers.data(),
-                        a.buffers.size() * sizeof(float)),
-            0)
-      << context << ": final global buffers differ";
+  if (!a.buffers.empty()) {  // memcmp needs non-null pointers
+    EXPECT_EQ(std::memcmp(a.buffers.data(), b.buffers.data(),
+                          a.buffers.size() * sizeof(float)),
+              0)
+        << context << ": final global buffers differ";
+  }
 }
 
 std::unique_ptr<fl::Strategy> make_strategy(const std::string& kind) {
@@ -474,10 +483,12 @@ TEST(HierarchyRelayTest, AllEdgesLateClosesRoundAsNoOp) {
                         before.size() * sizeof(float)),
             0)
       << "no merge frame arrived, yet the global model moved";
-  EXPECT_EQ(std::memcmp(before_buffers.data(),
-                        fleet.server().global_buffers().data(),
-                        before_buffers.size() * sizeof(float)),
-            0);
+  if (!before_buffers.empty()) {  // memcmp needs non-null pointers
+    EXPECT_EQ(std::memcmp(before_buffers.data(),
+                          fleet.server().global_buffers().data(),
+                          before_buffers.size() * sizeof(float)),
+              0);
+  }
   // The round waited out the tier deadline.
   EXPECT_GE(r.rounds[0].virtual_time, topo.edge_deadline_s);
 }

@@ -1,26 +1,37 @@
 // Run-journal (flight recorder) tests: schema stability of the JSONL
 // stream, write -> parse -> replay round trips whose summaries are
-// bit-identical across thread counts, the zero-allocation disabled path,
-// and the 256-device long-tail churn acceptance run whose replayed
-// dashboard must match the live one byte for byte.
+// bit-identical across thread counts, decoding of hostile lines, the
+// zero-allocation disabled path, the 256-device long-tail churn and
+// aggregator-tree runs whose replayed dashboards must match the live ones
+// byte for byte, and digests pinning every telemetry export.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <new>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
+#include "codec/codec.h"
 #include "core/helios_strategy.h"
+#include "fl/hierarchy.h"
+#include "fl/transport.h"
+#include "net/wire.h"
 #include "obs/journal.h"
 #include "obs/journal_reader.h"
 #include "obs/telemetry.h"
 #include "sim/churn.h"
 #include "sim/population.h"
 #include "sim/sampler.h"
+#include "tensor/backend/dispatch.h"
 #include "test_support.h"
 #include "util/thread_pool.h"
 
@@ -231,6 +242,33 @@ TEST(RunJournalTest, UnsupportedSchemaVersionIsRejected) {
   EXPECT_THROW(obs::read_journal(garbage), std::runtime_error);
 }
 
+// Decoding takes untrusted lines: an integer field outside its type's range
+// (or of the wrong JSON type) keeps the event's default instead of being
+// cast, and lifecycle lines and unknown types decode to nothing.
+TEST(RunJournalTest, DecodeKeepsDefaultsForOutOfRangeFields) {
+  std::istringstream is(
+      "{\"v\":1,\"t\":\"run_start\",\"r\":-1,\"dev\":-1,\"vt\":0,\"w\":0}\n"
+      "{\"v\":1,\"t\":\"xfer\",\"r\":1e300,\"dev\":4,\"vt\":0.5,\"w\":1,"
+      "\"bytes\":-3,\"tx\":1e12,\"lost\":2,\"ok\":0,\"dead\":\"yes\"}\n"
+      "{\"v\":1,\"t\":\"phase_from_the_future\",\"r\":0,\"dev\":-1,\"vt\":0,"
+      "\"w\":0}\n");
+  const std::vector<obs::JournalEvent> events = obs::read_journal(is);
+  ASSERT_EQ(events.size(), 3U);
+  EXPECT_FALSE(obs::decode(events[0]).has_value());
+  EXPECT_FALSE(obs::decode(events[2]).has_value());
+  EXPECT_EQ(events[1].round, -1);
+  EXPECT_EQ(events[1].device, 4);
+  const auto decoded = obs::decode(events[1]);
+  ASSERT_TRUE(decoded.has_value());
+  const auto* x = std::get_if<obs::event::Xfer>(&*decoded);
+  ASSERT_NE(x, nullptr);
+  EXPECT_EQ(x->bytes_on_wire, 0U);
+  EXPECT_EQ(x->transmissions, 0);
+  EXPECT_EQ(x->lost_frames, 2);
+  EXPECT_FALSE(x->delivered);
+  EXPECT_FALSE(x->died);
+}
+
 // ---- Disabled path ------------------------------------------------------
 
 TEST(RunJournalTest, DisabledJournalMakesNoAllocations) {
@@ -239,21 +277,18 @@ TEST(RunJournalTest, DisabledJournalMakesNoAllocations) {
   EXPECT_EQ(plain.journal(), nullptr);
   EXPECT_TRUE(plain.journal_text().empty());
 
-  // A null-stream journal's record methods return after one branch.
+  // A null-stream journal's write returns after one branch, whatever the
+  // event type.
   obs::RunJournal off(nullptr);
   EXPECT_FALSE(off.enabled());
+  static_assert(std::variant_size_v<obs::event::Any> == 11);
+  const auto write_each = [&]<class... Event>(std::variant<Event...>*,
+                                              int round) {
+    (off.write({round, 1, 0.0}, Event{}), ...);
+  };
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
   for (int i = 0; i < 64; ++i) {
-    off.cohort({i, -1, 0.0}, 64, 60, 6);
-    off.skip({i, 1, 0.0}, "hollow");
-    off.train({i, 1, 0.0}, "profile", false, 1.0, 24, 24, 1.0, 0.1, 0.5,
-              0.9);
-    off.transfer({i, 1, 0.0}, 2048, 1, 0, true, false, false, 0.1);
-    off.aggregation({i, 1, 0.0}, 0.5, 0.25);
-    off.rotation({i, 1, 0.0}, 1, 20, 2, 1, 1);
-    off.network_round({i, -1, 0.0}, 8192, 4, 4, 0, 0, 0, 0, false);
-    off.churn({i, -1, 0.0}, 0, 1, 63);
-    off.round_result({i, -1, 0.0}, "Helios", 0.8, 0.4, 2.0);
+    write_each(static_cast<obs::event::Any*>(nullptr), i);
   }
   off.close();
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), before);
@@ -368,6 +403,203 @@ TEST(RunJournalTest, LongtailChurnRunReplaysToLiveDashboard) {
           .counter("helios.sim.skipped_total", {{"reason", "dead"}})
           .value();
   EXPECT_EQ(skipped, live_skips);
+}
+
+// ---- Pinned telemetry outputs --------------------------------------------
+
+/// Everything a run's telemetry exports, captured after flush().
+struct TelemetryOutputs {
+  std::string journal;
+  std::string render;          // StragglerDashboard::render
+  std::string dashboard_json;  // StragglerDashboard::write_json
+  std::string summary_json;    // StragglerDashboard::write_summary_json
+  std::string metrics_json;
+};
+
+TelemetryOutputs capture(obs::TelemetrySink& sink) {
+  sink.flush();
+  TelemetryOutputs out;
+  out.journal = sink.journal_text();
+  std::ostringstream render, dash, summary, metrics;
+  sink.render_dashboard(render);
+  sink.dashboard().write_json(dash);
+  sink.dashboard().write_summary_json(summary);
+  sink.write_metrics_json(metrics);
+  out.render = render.str();
+  out.dashboard_json = dash.str();
+  out.summary_json = summary.str();
+  out.metrics_json = metrics.str();
+  return out;
+}
+
+/// A sampled, churning long-tail fleet over int8pn uplinks with error
+/// feedback and 5% frame loss: every flat-run event type.
+TelemetryOutputs run_flat_lossy_int8() {
+  const int kDevices = 24;
+  obs::TelemetryConfig cfg;
+  cfg.tracing = false;
+  cfg.journal = true;
+  obs::TelemetrySink sink(cfg);
+  const sim::PopulationGenerator pop(sim::mobile_longtail(kDevices));
+  fl::Fleet fleet = sim::build_fleet(pop);
+  fleet.set_telemetry(&sink);
+  net::NetworkOptions nopts;
+  nopts.mode = net::NetMode::kSimulated;
+  nopts.payload_codec = codec::CodecId::kInt8PerNeuron;
+  nopts.error_feedback = true;
+  nopts.channel.loss_prob = 0.05;
+  nopts.channel.latency_s = 0.005;
+  fl::NetworkSession session(fleet, nopts);
+  sim::CohortSampler::Options sopts;
+  sopts.fraction = 0.25;
+  sopts.seed = 17;
+  sim::CohortSampler sampler(sopts);
+  sampler.attach(&fleet);
+  fleet.set_sampler(&sampler);
+  sim::ChurnOptions copts;
+  copts.arrival_rate_per_s = 30.0;
+  copts.mean_lifetime_s = 2.0;
+  copts.seed = 7;
+  copts.max_devices = kDevices + 8;
+  sim::ChurnProcess churn(pop, copts);
+  core::HeliosStrategy strategy;
+  strategy.set_cycle_hook(
+      [&](fl::Fleet& f, int cycle) { churn.step(f, cycle); });
+  strategy.run(fleet, 3);
+  fleet.set_sampler(nullptr);
+  fleet.set_telemetry(nullptr);
+  return capture(sink);
+}
+
+/// The test fleet through a depth-3 aggregator tree with lossy device and
+/// edge links: the run that emits tier "merge" events.
+TelemetryOutputs run_tree_lossy() {
+  obs::TelemetryConfig cfg;
+  cfg.tracing = false;
+  cfg.journal = true;
+  obs::TelemetrySink sink(cfg);
+  fl::Fleet fleet = testing::make_fleet();
+  fleet.set_telemetry(&sink);
+  agg::TreeTopology topo;
+  topo.edge_nodes = 2;
+  topo.fanout = 1;
+  topo.edge_link.loss_prob = 0.05;
+  topo.edge_link.latency_s = 0.005;
+  fl::HierarchySession hier(fleet, topo);
+  net::NetworkOptions nopts;
+  nopts.mode = net::NetMode::kSimulated;
+  nopts.channel.loss_prob = 0.05;
+  nopts.channel.latency_s = 0.005;
+  fl::NetworkSession session(fleet, nopts);
+  core::HeliosStrategy strategy;
+  strategy.run(fleet, 3);
+  fleet.set_telemetry(nullptr);
+  return capture(sink);
+}
+
+/// Replaces the value after every `key` (up to the next ',' or '}') with
+/// '#': wall-clock fields differ run to run.
+std::string mask_values(const std::string& text, std::string_view key) {
+  std::string out;
+  std::size_t from = 0;
+  for (std::size_t at = text.find(key); at != std::string::npos;
+       at = text.find(key, from)) {
+    at += key.size();
+    out.append(text, from, at - from);
+    out += '#';
+    from = std::min(text.find_first_of(",}\n", at), text.size());
+  }
+  out.append(text, from);
+  return out;
+}
+
+/// Drops the metrics-JSON lines of wall-clock series.
+std::string without_wall_clock_series(const std::string& metrics) {
+  std::istringstream is(metrics);
+  std::string out, line;
+  while (std::getline(is, line)) {
+    if (line.find("\"name\":\"helios.agg.fold_seconds\"") != std::string::npos) {
+      continue;
+    }
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+std::uint32_t digest(const std::string& text) {
+  return net::crc32(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
+}
+
+// The four exported views of two 1-thread runs that between them emit all
+// eleven journal event types, pinned to digests recorded before the
+// telemetry hooks were rebuilt around typed events. Wall-clock values (the
+// journal's "w" and "fold_s", tier fold seconds, the fold-time histogram)
+// are masked out; scalar kernels make the rest host-independent.
+TEST(TelemetryPins, OutputsMatchRecordedDigests) {
+  struct Guard {
+    ~Guard() {
+      tensor::backend::clear_kernel_backend_override();
+      util::set_global_threads(0);
+    }
+  } guard;
+  tensor::backend::set_kernel_backend(tensor::backend::Backend::kScalar);
+  util::set_global_threads(1);
+  struct Case {
+    const char* name;
+    TelemetryOutputs (*run)();
+    std::uint32_t journal, dashboard, summary, metrics;
+  };
+  const Case cases[] = {
+      {"flat int8pn 5% loss, sampler + churn", &run_flat_lossy_int8,
+       0x3849F1DDU, 0x245EFEA1U, 0xCBB59C34U, 0x08D91605U},
+      {"depth-3 tree, 5% loss", &run_tree_lossy, 0x1176377AU,
+       0xFA571586U, 0x6AA7CC42U, 0x8C526C74U},
+  };
+  std::set<std::string> types;
+  for (const Case& c : cases) {
+    const TelemetryOutputs out = c.run();
+    std::istringstream is(out.journal);
+    for (const obs::JournalEvent& ev : obs::read_journal(is)) {
+      types.insert(ev.type);
+    }
+    const std::uint32_t got[] = {
+        digest(mask_values(mask_values(out.journal, "\"w\":"), "\"fold_s\":")),
+        digest(out.dashboard_json),
+        digest(mask_values(out.summary_json, "\"fold_seconds\":")),
+        digest(without_wall_clock_series(out.metrics_json))};
+    const std::uint32_t want[] = {c.journal, c.dashboard, c.summary,
+                                  c.metrics};
+    const char* views[] = {"journal", "dashboard json", "summary json",
+                           "metrics json"};
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(got[i], want[i]) << c.name << ": " << views[i] << std::hex
+                                 << " digest 0x" << got[i];
+    }
+  }
+  for (const char* t : {"cohort", "skip", "train", "xfer", "codec", "agg",
+                        "rot", "net_round", "merge", "churn", "round"}) {
+    EXPECT_EQ(types.count(t), 1U) << "no " << t << " event in the pinned runs";
+  }
+}
+
+// A hierarchical run over lossy links: replaying its journal, tier merge
+// events included, rebuilds the live dashboard in every export.
+TEST(RunJournalTest, TreeRunReplaysToLiveDashboard) {
+  const TelemetryOutputs live = run_tree_lossy();
+  std::istringstream is(live.journal);
+  obs::StragglerDashboard replayed;
+  obs::replay_dashboard(obs::read_journal(is), replayed);
+  EXPECT_EQ(replayed.tier("root").merges, 3);
+  EXPECT_NE(live.summary_json.find("\"tiers\""), std::string::npos);
+  std::ostringstream render, json, summary;
+  replayed.render(render);
+  replayed.write_json(json);
+  replayed.write_summary_json(summary);
+  EXPECT_EQ(render.str(), live.render);
+  EXPECT_EQ(json.str(), live.dashboard_json);
+  EXPECT_EQ(summary.str(), live.summary_json);
 }
 
 }  // namespace

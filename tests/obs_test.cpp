@@ -99,6 +99,41 @@ TEST(MetricsRegistryTest, LabelOrderIsCanonical) {
   EXPECT_EQ(reg.series_count(), 2U);
 }
 
+TEST(MetricsRegistryTest, IndexedLookupChecksKindAndIgnoresLabelOrder) {
+  obs::MetricsRegistry reg;
+  for (int d = 0; d < 64; ++d) {
+    reg.counter("helios.test.c",
+                {{"device", std::to_string(d)}, {"tier", "edge"}});
+  }
+  obs::Gauge& g =
+      reg.gauge("helios.test.g", {{"z", "1"}, {"a", "2"}, {"m", "3"}});
+  obs::Histogram& h = reg.histogram("helios.test.h", {{"b", "1"}, {"a", "1"}});
+  // Any label order finds the same series.
+  EXPECT_EQ(&reg.gauge("helios.test.g", {{"m", "3"}, {"z", "1"}, {"a", "2"}}),
+            &g);
+  EXPECT_EQ(&reg.histogram("helios.test.h", {{"a", "1"}, {"b", "1"}}), &h);
+  EXPECT_EQ(&reg.counter("helios.test.c", {{"tier", "edge"}, {"device", "17"}}),
+            &reg.counter("helios.test.c", {{"device", "17"}, {"tier", "edge"}}));
+  const std::size_t n = reg.series_count();
+  EXPECT_EQ(n, 66U);
+  // The same name and labels as another kind is refused and adds nothing.
+  EXPECT_THROW(reg.counter("helios.test.g", {{"a", "2"}, {"m", "3"}, {"z", "1"}}),
+               std::logic_error);
+  EXPECT_THROW(reg.gauge("helios.test.h", {{"b", "1"}, {"a", "1"}}),
+               std::logic_error);
+  EXPECT_THROW(
+      reg.histogram("helios.test.c", {{"tier", "edge"}, {"device", "3"}}),
+      std::logic_error);
+  EXPECT_EQ(reg.series_count(), n);
+  // Export keeps creation order.
+  std::ostringstream os;
+  reg.write_json(os);
+  const std::string text = os.str();
+  EXPECT_LT(text.find("\"device\":\"0\""), text.find("\"device\":\"63\""));
+  EXPECT_LT(text.find("helios.test.c"), text.find("helios.test.g"));
+  EXPECT_LT(text.find("helios.test.g"), text.find("helios.test.h"));
+}
+
 TEST(MetricsRegistryTest, PrometheusExport) {
   obs::MetricsRegistry reg;
   reg.counter("helios.cycles", {{"device", "0"}}).add(3);
